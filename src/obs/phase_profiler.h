@@ -2,9 +2,9 @@
 //
 // Spans are opened/closed by the RAII obs::PhaseSpan (see obs.h) around each
 // hot region — event-queue drain, scheduler tick, placement, orchestrator
-// tick, reclaim policy, RM reconcile, final-metrics fold. Spans nest: a
-// phase's *self* time excludes enclosed child spans, so summing self_sec over
-// all phases approximates the covered wall-clock without double counting —
+// tick, reclaim policy, final-metrics fold. Spans nest: a phase's *self* time
+// excludes enclosed child spans, so summing self_sec over all phases
+// approximates the covered wall-clock without double counting —
 // exactly the number the ROADMAP's event-queue-batching item needs.
 #ifndef SRC_OBS_PHASE_PROFILER_H_
 #define SRC_OBS_PHASE_PROFILER_H_
@@ -22,7 +22,7 @@ enum class Phase {
   kPlacement,           // placement/allocation work inside a scheduler tick
   kOrchestratorTick,
   kReclaimPolicy,       // ReclaimPolicy::Reclaim inside an orchestrator tick
-  kRmReconcile,
+  kRmReconcile,         // unused; kept so phase tables keep their rows
   kFinalize,            // end-of-run metric folding
   kCount,
 };

@@ -1,83 +1,11 @@
 #include "src/rl/policy.h"
 
-#include <cstdio>
-#include <cstring>
-
 #include "src/common/check.h"
+#include "src/common/envelope.h"
+#include "src/common/hash.h"
 
 namespace lyra::rl {
 namespace {
-
-std::uint64_t Fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked cursor over the payload; a truncated or corrupted payload
-// surfaces as DataLoss, never as out-of-bounds access.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  Status U32(std::uint32_t* v) {
-    if (pos_ + 4 > data_.size()) {
-      return Status::DataLoss("LYRAPOL payload truncated");
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status U64(std::uint64_t* v) {
-    if (pos_ + 8 > data_.size()) {
-      return Status::DataLoss("LYRAPOL payload truncated");
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status F64(double* v) {
-    std::uint64_t bits = 0;
-    const Status status = U64(&bits);
-    std::memcpy(v, &bits, sizeof(*v));
-    return status;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
 
 LstmOptions HeadOptions(const PolicyOptions& options, std::uint64_t seed) {
   LstmOptions head;
@@ -173,55 +101,16 @@ std::string PolicyNet::Encode() const {
   WriteParameters(payload, priority_);
   WriteParameters(payload, workers_);
 
-  std::string file(kPolicyMagic, 8);
-  PutU32(file, kPolicyVersion);
-  PutU64(file, static_cast<std::uint64_t>(payload.size()));
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return SealEnvelope(kPolicyMagic, kPolicyVersion, payload);
 }
 
 StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
-  if (bytes.size() < 8 + 4 + 8 || std::memcmp(bytes.data(), kPolicyMagic, 8) != 0) {
-    return Status::InvalidArgument("not a LYRAPOL policy file");
+  StatusOr<std::string> opened =
+      OpenEnvelope(bytes, kPolicyMagic, kPolicyVersion, "policy weights");
+  if (!opened.ok()) {
+    return opened.status();
   }
-  std::size_t pos = 8;
-  auto read_u32 = [&](std::uint32_t* v) {
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[pos++]))
-            << (8 * i);
-    }
-  };
-  auto read_u64 = [&](std::uint64_t* v) {
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[pos++]))
-            << (8 * i);
-    }
-  };
-  std::uint32_t version = 0;
-  read_u32(&version);
-  if (version != kPolicyVersion) {
-    return Status::InvalidArgument("unsupported LYRAPOL version " +
-                                   std::to_string(version) + " (expected " +
-                                   std::to_string(kPolicyVersion) + ")");
-  }
-  std::uint64_t payload_size = 0;
-  read_u64(&payload_size);
-  if (bytes.size() < pos + payload_size + 8) {
-    return Status::DataLoss("LYRAPOL file truncated");
-  }
-  const std::string payload = bytes.substr(pos, payload_size);
-  pos += payload_size;
-  std::uint64_t stored_hash = 0;
-  read_u64(&stored_hash);
-  if (pos != bytes.size()) {
-    return Status::DataLoss("LYRAPOL file has trailing bytes");
-  }
-  if (Fnv1a(payload) != stored_hash) {
-    return Status::DataLoss("LYRAPOL checksum mismatch");
-  }
+  const std::string payload = std::move(opened).value();
 
   Reader in(payload);
   std::uint32_t feature_count = 0;
@@ -259,42 +148,15 @@ StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
 std::uint64_t PolicyNet::WeightsHash() const { return Fnv1a(Encode()); }
 
 Status PolicyNet::Save(const std::string& path) const {
-  const std::string file = Encode();
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::InvalidArgument("cannot open for writing: " + tmp);
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), out);
-  const bool closed = std::fclose(out) == 0;
-  if (written != file.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, Encode());
 }
 
 StatusOr<PolicyNet> PolicyNet::Load(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open policy weights: " + path);
+  StatusOr<std::string> file = ReadFile(path);
+  if (!file.ok()) {
+    return file.status();
   }
-  std::string file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    file.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return Decode(file);
+  return Decode(file.value());
 }
 
 }  // namespace lyra::rl

@@ -7,10 +7,9 @@
 // (cluster + queue + per-job features, see env.h), treated as a length-F
 // scalar sequence so the LSTM cells are reused unchanged.
 //
-// Weights persist in the checksummed `LYRAPOL` container: 8-byte magic, u32
-// version, u64 payload size, payload, u64 FNV-1a of the payload — the same
-// envelope as the service snapshots, so corruption and truncation are
-// detected rather than silently loaded.
+// Weights persist in the `LYRAPOL_` container: the checksummed envelope of
+// src/common/envelope.h, shared with the service snapshots, so corruption,
+// truncation and trailing bytes are detected rather than silently loaded.
 #ifndef SRC_RL_POLICY_H_
 #define SRC_RL_POLICY_H_
 

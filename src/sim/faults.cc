@@ -62,23 +62,15 @@ int FaultInjector::StormSize(int loaned) const {
                                                        loaned))));
 }
 
-void FaultInjector::Fold(std::uint64_t value) {
-  // FNV-1a over the 8 bytes of `value`.
-  for (int b = 0; b < 8; ++b) {
-    hash_ ^= (value >> (8 * b)) & 0xffu;
-    hash_ *= 1099511628211ULL;
-  }
-}
-
 void FaultInjector::Record(const FaultRecord& record) {
   log_.push_back(record);
   std::uint64_t time_bits = 0;
   static_assert(sizeof(time_bits) == sizeof(record.time));
   std::memcpy(&time_bits, &record.time, sizeof(time_bits));
-  Fold(time_bits);
-  Fold(static_cast<std::uint64_t>(record.kind));
-  Fold(static_cast<std::uint64_t>(record.target));
-  Fold(static_cast<std::uint64_t>(record.jobs_affected));
+  hash_ = Fnv1aU64(time_bits, hash_);
+  hash_ = Fnv1aU64(static_cast<std::uint64_t>(record.kind), hash_);
+  hash_ = Fnv1aU64(static_cast<std::uint64_t>(record.target), hash_);
+  hash_ = Fnv1aU64(static_cast<std::uint64_t>(record.jobs_affected), hash_);
   switch (record.kind) {
     case FaultKind::kServerCrash:
       ++stats_.server_crashes;

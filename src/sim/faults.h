@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 
@@ -142,13 +143,12 @@ class FaultInjector {
 
  private:
   TimeSec NextAfter(TimeSec now, TimeSec mtbf);
-  void Fold(std::uint64_t value);
 
   FaultOptions options_;
   Rng rng_;
   std::vector<FaultRecord> log_;
   FaultStats stats_;
-  std::uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a offset basis
+  std::uint64_t hash_ = kFnv1aOffset;
 };
 
 }  // namespace lyra

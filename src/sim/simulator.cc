@@ -227,15 +227,6 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
   }
 }
 
-void Simulator::MirrorIntoResourceManager(TimeSec now) {
-  if (!options_.mirror_resource_manager) {
-    return;
-  }
-  obs::PhaseSpan reconcile_span(obs::Phase::kRmReconcile);
-  result_.rm_stats.Accumulate(reconciler_.Reconcile(cluster_, rm_, now));
-  LYRA_CHECK(RmReconciler::Consistent(cluster_, rm_));
-}
-
 void Simulator::HandleSchedulerTick(TimeSec now) {
   if (!dirty_ && pending_.empty()) {
     obs_.metrics.counter("sim.scheduler_ticks_skipped")->Add();
@@ -255,7 +246,6 @@ void Simulator::HandleSchedulerTick(TimeSec now) {
   scheduler_->Schedule(ctx);
   dirty_ = false;
   SyncAfterScheduling(now);
-  MirrorIntoResourceManager(now);
   // SyncAfterScheduling re-marks dirty when jobs started; that is fine — it
   // only forces the next tick to re-run, which is conservative.
 }
@@ -363,7 +353,6 @@ void Simulator::HandleOrchestratorTick(TimeSec now) {
                     "\"reason\": \"preempted\"");
   RefreshScaledIn(now, reclaim.scaled_in);
 
-  MirrorIntoResourceManager(now);
   RecordSeriesPoint(now);
 }
 
@@ -839,15 +828,13 @@ SimulationResult Simulator::Finalize() {
   Begin();
   obs::ScopedObsContext obs_scope(&obs_);
   {
-    // Covers everything after the drain — meter close-out, final reconcile,
-    // and the result folding — so phase self times account for (nearly) all
-    // of wall_seconds.
+    // Covers everything after the drain — meter close-out and the result
+    // folding — so phase self times account for (nearly) all of
+    // wall_seconds.
     obs::PhaseSpan finalize_span(obs::Phase::kFinalize);
     // Close the usage meters at the end of the trace window: the run may end
     // (all jobs finished) before the window does, leaving idle time uncounted.
     AdvanceMeters(meter_cutoff_);
-    // Final reconcile so the execution layer tears down the last containers.
-    MirrorIntoResourceManager(now_);
 
     // --- Final metrics -------------------------------------------------------
     result_.finished_jobs = finished_count_ - cancelled_count_;

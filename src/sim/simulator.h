@@ -26,8 +26,6 @@
 #include "src/profile/job_profiler.h"
 #include "src/lyra/reclaim.h"
 #include "src/sched/scheduler.h"
-#include "src/rm/reconciler.h"
-#include "src/rm/resource_manager.h"
 #include "src/sim/decision_log.h"
 #include "src/sim/faults.h"
 #include "src/sim/inference_cluster.h"
@@ -65,10 +63,6 @@ struct SimulatorOptions {
   // Record every scheduling decision (starts, finishes, scales, preemptions,
   // loans) for the §7.2-style calibration comparison.
   bool record_decisions = false;
-  // Mirror every placement into the resource-manager execution layer (§6):
-  // container launches/stops and whitelist moves are reconciled after each
-  // epoch, with a consistency check. Costs ~10-20% runtime.
-  bool mirror_resource_manager = false;
   // When non-empty, stream job/loan/reclaim/decision events and scheduler
   // phase spans into a ring buffer and write them here at the end of Run()
   // as Chrome trace-event JSON (opens in ui.perfetto.dev). Purely
@@ -133,7 +127,7 @@ struct SimulationResult {
   double events_per_sec = 0.0;
 
   // Per-phase wall-clock profile of Run() (event drain, scheduler tick,
-  // placement, orchestrator tick, reclaim policy, RM reconcile, finalize).
+  // placement, orchestrator tick, reclaim policy, finalize).
   // Self times are disjoint, so they sum to ~wall_seconds. Wall-clock, so —
   // like the fields above — excluded from determinism comparisons.
   std::vector<obs::PhaseStat> phases;
@@ -150,8 +144,6 @@ struct SimulationResult {
   // Mean absolute relative error of the profiler's estimates (0 when the
   // profiler is off).
   double profiler_error = 0.0;
-  // Resource-manager execution totals (zero unless mirroring is enabled).
-  ReconcileStats rm_stats;
 };
 
 class Simulator {
@@ -214,7 +206,6 @@ class Simulator {
   const ClusterState& cluster() const { return cluster_; }
   const std::vector<std::unique_ptr<Job>>& jobs() const { return jobs_; }
   const DecisionLog& decision_log() const { return decision_log_; }
-  const ResourceManager& resource_manager() const { return rm_; }
   // This run's metrics registry (counters/gauges/histograms); disjoint per
   // simulation, so parallel runs never share metric state.
   const obs::MetricsRegistry& metrics() const { return obs_.metrics; }
@@ -274,7 +265,6 @@ class Simulator {
   void AdvanceMeters(TimeSec now);
   void ScheduleFinish(Job& job, TimeSec now);
   void SyncAfterScheduling(TimeSec now);
-  void MirrorIntoResourceManager(TimeSec now);
   void HandleSchedulerTick(TimeSec now);
   void HandleOrchestratorTick(TimeSec now);
   void HandleFinish(TimeSec now, std::int64_t job_index, std::uint64_t generation);
@@ -344,8 +334,6 @@ class Simulator {
   std::unique_ptr<obs::TraceExporter> trace_;
   JobProfiler profiler_;
   DecisionLog decision_log_;
-  ResourceManager rm_;
-  RmReconciler reconciler_;
   TimeWeightedMean training_meter_;
   TimeWeightedMean overall_meter_;
   TimeWeightedMean onloan_meter_;

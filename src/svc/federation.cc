@@ -8,14 +8,13 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/envelope.h"
+#include "src/common/hash.h"
 #include "src/svc/registry.h"
 #include "src/svc/replies.h"
 
 namespace lyra::svc {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // Deterministic time/cost rendering for ledger event lines: the lines feed
 // the rolling ledger hash, so the format must be stable across platforms.
@@ -95,33 +94,6 @@ std::int64_t ReserveOf(std::int64_t total_gpus) {
   return (total_gpus + 9) / 10;
 }
 
-std::uint64_t HashSeq(std::uint64_t seq) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return ShardRouter::Hash(bytes, sizeof(bytes));
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return bytes;
-}
-
 const char* JobStateLabel(int state) {
   switch (state) {
     case 0:
@@ -165,10 +137,10 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     if (inference + training < 1) {
       return Status::InvalidArgument("federation needs at least one cluster");
     }
-    if (shards < 1 || shards > 64) {
+    if (shards < 1 || shards > kMaxEngines) {
       return Status::InvalidArgument(
-          "cluster shard count must be in [1, 64], got " +
-          std::to_string(shards));
+          "cluster shard count must be in [1, " + std::to_string(kMaxEngines) +
+          "], got " + std::to_string(shards));
     }
     std::vector<ClusterSpec> clusters;
     for (long long i = 0; i < inference; ++i) {
@@ -208,7 +180,8 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
     }
     if (fields.size() >= 3) {
       long long shards = 0;
-      if (!ParseUint(fields[2], &shards) || shards < 1 || shards > 64) {
+      if (!ParseUint(fields[2], &shards) || shards < 1 ||
+          shards > kMaxEngines) {
         return Status::InvalidArgument("bad cluster shard count: \"" +
                                        fields[2] + "\"");
       }
@@ -237,15 +210,10 @@ StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(
 // --- LoanBroker -----------------------------------------------------------
 
 void LoanBroker::Emit(const std::string& event) {
-  std::uint64_t hash =
-      ledger_.ledger_hash == 0 ? kFnvOffset : ledger_.ledger_hash;
-  for (const char c : event) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  hash ^= static_cast<unsigned char>('\n');
-  hash *= kFnvPrime;
-  ledger_.ledger_hash = hash;
+  // The hash chains over "event\n" lines; 0 means no event yet.
+  const std::uint64_t seed =
+      ledger_.ledger_hash == 0 ? kFnv1aOffset : ledger_.ledger_hash;
+  ledger_.ledger_hash = Fnv1a("\n", Fnv1a(event, seed));
   events_.push_back(event);
   if (events_.size() > kMaxEvents) {
     events_.erase(events_.begin());
@@ -664,7 +632,7 @@ ShardRouter::Plan FederationRouter::RouteEngine(TelemetryCmd cmd,
       hash = Hash(k.data(), k.size());
     } else {
       // Peek only; BeginEngine's fetch_add is authoritative.
-      hash = HashSeq(submit_seq());
+      hash = Fnv1aU64(submit_seq());
     }
     plan.shard = (*targets)[hash % targets->size()];
     plan.shed = shard(static_cast<int>(plan.shard))->EngineSaturated();
@@ -688,7 +656,7 @@ std::uint32_t FederationRouter::BeginEngine(TelemetryCmd cmd,
     // here is the authoritative in-cluster pick.
     const std::vector<std::uint32_t>* targets = TargetEngines(request);
     const std::uint64_t seq = NextSubmitSeq();
-    return (*targets)[HashSeq(seq) % targets->size()];
+    return (*targets)[Fnv1aU64(seq) % targets->size()];
   }
   return ShardRouter::BeginEngine(cmd, request, plan);
 }
@@ -953,7 +921,7 @@ JsonValue FederationRouter::MergeFederationSnapshot(
     for (const std::uint32_t e :
          cluster_engines_[static_cast<std::size_t>(c)]) {
       StatusOr<std::string> image =
-          ReadFileBytes(PartPath(snapshot_path, static_cast<int>(e)));
+          ReadFile(PartPath(snapshot_path, static_cast<int>(e)));
       if (!image.ok()) {
         JsonValue failed = StatusReply(image.status());
         EchoSeq(request, failed);
@@ -1251,10 +1219,10 @@ StatusOr<FederationSet> BuildFederation(
   }
   int total = 0;
   for (std::size_t c = 0; c < clusters.size(); ++c) {
-    if (clusters[c].shards < 1 || clusters[c].shards > 64) {
+    if (clusters[c].shards < 1 || clusters[c].shards > kMaxEngines) {
       return Status::InvalidArgument(
-          "cluster shard count must be in [1, 64], got " +
-          std::to_string(clusters[c].shards));
+          "cluster shard count must be in [1, " + std::to_string(kMaxEngines) +
+          "], got " + std::to_string(clusters[c].shards));
     }
     if (!ValidClusterName(clusters[c].name)) {
       return Status::InvalidArgument("bad cluster name: \"" +
@@ -1268,10 +1236,10 @@ StatusOr<FederationSet> BuildFederation(
     }
     total += clusters[c].shards;
   }
-  if (total > 64) {
+  if (total > kMaxEngines) {
     return Status::InvalidArgument(
-        "federation engine count must be in [1, 64], got " +
-        std::to_string(total));
+        "federation engine count must be in [1, " +
+        std::to_string(kMaxEngines) + "], got " + std::to_string(total));
   }
 
   FederationSet set;
@@ -1365,11 +1333,6 @@ StatusOr<FederationSet> RestoreFederation(
     }
     clusters.push_back(std::move(spec));
   }
-  if (k < 1 || k > 64) {
-    return Status::DataLoss("federation engine count must be in [1, 64], got " +
-                            std::to_string(k));
-  }
-
   std::vector<SchedulerService*> pointers;
   pointers.reserve(set.services.size());
   for (const auto& service : set.services) {

@@ -8,6 +8,8 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/envelope.h"
+#include "src/common/hash.h"
 #include "src/svc/prom.h"
 #include "src/svc/replies.h"
 #include "src/svc/snapshot.h"
@@ -47,25 +49,6 @@ void MergeNumeric(JsonValue& into, const JsonValue& from) {
 
 std::string ShardSuffixPath(const std::string& path, int shard) {
   return path + ".shard" + std::to_string(shard);
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -153,22 +136,7 @@ std::string ShardRouter::PartPath(const std::string& path, int shard) {
 }
 
 std::uint64_t ShardRouter::Hash(const void* data, std::size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::uint32_t ShardRouter::ShardForKeylessSubmit(std::uint64_t seq) const {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((seq >> (8 * i)) & 0xff);
-  }
-  return static_cast<std::uint32_t>(
-      Hash(bytes, sizeof(bytes)) % static_cast<std::uint64_t>(shard_count()));
+  return Fnv1a(std::string_view(static_cast<const char*>(data), size));
 }
 
 ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
@@ -191,8 +159,9 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
         // Peek only: a shed submit must not consume a routing sequence
         // number, or a restore would route later submits differently than
         // the uninterrupted run (the counter is snapshotted).
-        plan.shard = ShardForKeylessSubmit(
-            submit_seq_.load(std::memory_order_relaxed));
+        plan.shard = static_cast<std::uint32_t>(
+            Fnv1aU64(submit_seq_.load(std::memory_order_relaxed)) %
+            static_cast<std::uint64_t>(shard_count()));
       }
       plan.shed = shards_[plan.shard]->EngineSaturated();
       return plan;
@@ -228,7 +197,8 @@ std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd, JsonValue& request,
     // that both planned from the same peeked value still dispatch to
     // distinct, deterministic shards.
     const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
-    return ShardForKeylessSubmit(seq);
+    return static_cast<std::uint32_t>(
+        Fnv1aU64(seq) % static_cast<std::uint64_t>(shard_count()));
   }
   if (cmd == TelemetryCmd::kCancel && plan.rewrite_job) {
     const JsonValue* job = request.Find("job");
@@ -359,7 +329,7 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       double time = 0.0, commands = 0.0;
       for (std::size_t k = 0; k < replies.size(); ++k) {
         StatusOr<std::string> image =
-            ReadFileBytes(PartPath(snapshot_path, static_cast<int>(k)));
+            ReadFile(PartPath(snapshot_path, static_cast<int>(k)));
         if (!image.ok()) {
           JsonValue failed = StatusReply(image.status());
           EchoSeq(request, failed);
@@ -656,8 +626,9 @@ SchedulerService::Stats ShardRouter::AggregateStats() const {
 StatusOr<ShardSet> BuildShardSet(
     const ServiceOptions& base, int shards,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  if (shards < 1 || shards > 64) {
-    return Status::InvalidArgument("shard count must be in [1, 64], got " +
+  if (shards < 1 || shards > kMaxEngines) {
+    return Status::InvalidArgument("shard count must be in [1, " +
+                                   std::to_string(kMaxEngines) + "], got " +
                                    std::to_string(shards));
   }
   ShardSet set;

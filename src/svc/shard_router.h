@@ -153,7 +153,8 @@ class ShardRouter {
     submit_seq_.store(seq, std::memory_order_relaxed);
   }
 
-  // FNV-1a over `data` (the routing hash; exposed for tests).
+  // FNV-1a over `data` (src/common/hash.h): the key routing hash, exposed
+  // for tests. Keyless submits route by Fnv1aU64 of the sequence number.
   static std::uint64_t Hash(const void* data, std::size_t size);
 
   // Per-shard scratch file a fanout snapshot writes before the merge gathers
@@ -164,7 +165,6 @@ class ShardRouter {
   class FanoutSink;
   class WaitSink;
 
-  std::uint32_t ShardForKeylessSubmit(std::uint64_t seq) const;
   JsonValue MergedClusterStats(const JsonValue& request) const;
   JsonValue MergedMetrics(const JsonValue& request) const;
   JsonValue MergedPing(const JsonValue& request) const;

@@ -1,148 +1,15 @@
 #include "src/svc/snapshot.h"
 
-#include <cstdio>
-#include <cstring>
+#include <algorithm>
+
+#include "src/common/envelope.h"
 
 namespace lyra::svc {
 namespace {
 
-constexpr char kMagic[8] = {'L', 'Y', 'R', 'A', 'S', 'N', 'A', 'P'};
-constexpr char kShardMagic[8] = {'L', 'Y', 'R', 'A', 'S', 'H', 'R', 'D'};
-constexpr char kFedMagic[8] = {'L', 'Y', 'R', 'A', 'F', 'E', 'D', '_'};
-
-std::uint64_t Fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-// --- Little-endian field writers/readers ------------------------------------
-
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI64(std::string& out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
-
-void PutF64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string& out, const std::string& s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-// Cursor over the payload; every read is bounds-checked so a truncated or
-// corrupted payload surfaces as DataLoss, never as out-of-bounds access.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  Status U8(std::uint8_t* v) {
-    if (!Have(1)) {
-      return Truncated();
-    }
-    *v = static_cast<std::uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-
-  Status U32(std::uint32_t* v) {
-    if (!Have(4)) {
-      return Truncated();
-    }
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status U64(std::uint64_t* v) {
-    if (!Have(8)) {
-      return Truncated();
-    }
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-
-  Status I64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    const Status status = U64(&u);
-    *v = static_cast<std::int64_t>(u);
-    return status;
-  }
-
-  Status F64(double* v) {
-    std::uint64_t bits = 0;
-    const Status status = U64(&bits);
-    std::memcpy(v, &bits, sizeof(*v));
-    return status;
-  }
-
-  Status Str(std::string* v) {
-    std::uint32_t length = 0;
-    Status status = U32(&length);
-    if (!status.ok()) {
-      return status;
-    }
-    if (!Have(length)) {
-      return Truncated();
-    }
-    v->assign(data_, pos_, length);
-    pos_ += length;
-    return Status::Ok();
-  }
-
-  Status Bool(bool* v) {
-    std::uint8_t byte = 0;
-    const Status status = U8(&byte);
-    *v = byte != 0;
-    return status;
-  }
-
-  // Raw byte blob with an externally-read u64 length (shard images can
-  // exceed the u32-length Str framing).
-  Status Str64(std::string* v, std::uint64_t length) {
-    if (!Have(length)) {
-      return Truncated();
-    }
-    v->assign(data_, pos_, length);
-    pos_ += static_cast<std::size_t>(length);
-    return Status::Ok();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool Have(std::size_t n) const { return data_.size() - pos_ >= n; }
-  static Status Truncated() { return Status::DataLoss("snapshot payload truncated"); }
-
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
+constexpr std::string_view kMagic = "LYRASNAP";
+constexpr std::string_view kShardMagic = "LYRASHRD";
+constexpr std::string_view kFedMagic = "LYRAFED_";
 
 void PutConfig(std::string& out, const EngineConfig& config) {
   PutString(out, config.scheduler);
@@ -259,95 +126,6 @@ Status ReadCommand(Reader& in, LoggedCommand* cmd) {
   return Status::Ok();
 }
 
-// Write-then-rename so a crash mid-write never leaves a torn snapshot at
-// the target path.
-Status WriteFileAtomic(const std::string& file, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::InvalidArgument("cannot open for writing: " + tmp);
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), out);
-  const bool closed = std::fclose(out) == 0;
-  if (written != file.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename failed: " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return Status::NotFound("cannot open snapshot: " + path);
-  }
-  std::string file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    file.append(buf, n);
-  }
-  const bool read_error = std::ferror(in) != 0;
-  std::fclose(in);
-  if (read_error) {
-    return Status::DataLoss("read error: " + path);
-  }
-  return file;
-}
-
-// Splits a container file into (version, payload) after verifying the given
-// magic, the length framing, and the payload checksum. Shared by both the
-// single- and multi-shard envelopes, which differ only in magic and payload
-// grammar.
-StatusOr<std::string> OpenEnvelope(const std::string& file,
-                                   const char (&magic)[8],
-                                   std::uint32_t expected_version,
-                                   const std::string& origin) {
-  if (file.size() < sizeof(magic) + 4 + 8 ||
-      std::memcmp(file.data(), magic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("not a Lyra snapshot: " + origin);
-  }
-  std::size_t pos = sizeof(magic);
-  auto read_u32 = [&](std::uint32_t* v) {
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(file[pos++]))
-            << (8 * i);
-    }
-  };
-  auto read_u64 = [&](std::uint64_t* v) {
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(file[pos++]))
-            << (8 * i);
-    }
-  };
-  std::uint32_t version = 0;
-  read_u32(&version);
-  if (version != expected_version) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version) + " (expected " +
-                                   std::to_string(expected_version) + ")");
-  }
-  std::uint64_t payload_size = 0;
-  read_u64(&payload_size);
-  if (file.size() < pos + payload_size + 8) {
-    return Status::DataLoss("snapshot truncated: " + origin);
-  }
-  std::string payload = file.substr(pos, payload_size);
-  pos += payload_size;
-  std::uint64_t stored_hash = 0;
-  read_u64(&stored_hash);
-  if (Fnv1a(payload) != stored_hash) {
-    return Status::DataLoss("snapshot checksum mismatch: " + origin);
-  }
-  return payload;
-}
-
 }  // namespace
 
 const char* CommandKindName(CommandKind kind) {
@@ -372,22 +150,15 @@ std::string EncodeSnapshot(const ServiceSnapshot& snapshot) {
     PutCommand(payload, cmd);
   }
   PutF64(payload, snapshot.horizon);
-
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  PutU32(file, kSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return SealEnvelope(kMagic, kSnapshotVersion, payload);
 }
 
 Status SaveSnapshot(const ServiceSnapshot& snapshot, const std::string& path) {
-  return WriteFileAtomic(EncodeSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeSnapshot(snapshot));
 }
 
 StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path) {
-  StatusOr<std::string> file = ReadWholeFile(path);
+  StatusOr<std::string> file = ReadFile(path);
   if (!file.ok()) {
     return file.status();
   }
@@ -414,7 +185,10 @@ StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
   if (!status.ok()) {
     return status;
   }
-  snapshot.commands.reserve(count);
+  // Every command is at least 9 bytes (kind + stamp), so a hostile count
+  // cannot reserve more than the payload could hold.
+  snapshot.commands.reserve(
+      std::min<std::uint64_t>(count, reader.remaining() / 9));
   for (std::uint64_t i = 0; i < count; ++i) {
     LoggedCommand cmd;
     status = ReadCommand(reader, &cmd);
@@ -446,14 +220,7 @@ std::string EncodeMultiSnapshot(const MultiSnapshot& snapshot) {
     PutU64(payload, image.size());
     payload += image;
   }
-
-  std::string file;
-  file.append(kShardMagic, sizeof(kShardMagic));
-  PutU32(file, kMultiSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return SealEnvelope(kShardMagic, kMultiSnapshotVersion, payload);
 }
 
 Status SaveMultiSnapshot(const MultiSnapshot& snapshot,
@@ -461,15 +228,14 @@ Status SaveMultiSnapshot(const MultiSnapshot& snapshot,
   if (snapshot.shard_images.empty()) {
     return Status::InvalidArgument("multi-snapshot has no shards");
   }
-  return WriteFileAtomic(EncodeMultiSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeMultiSnapshot(snapshot));
 }
 
 StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
                                             const std::string& origin) {
   // A plain LYRASNAP image is a valid one-shard snapshot: the sequence number
   // never influenced routing at one shard, so 0 is exact, not a guess.
-  if (image.size() >= sizeof(kMagic) &&
-      std::memcmp(image.data(), kMagic, sizeof(kMagic)) == 0) {
+  if (image.compare(0, kMagic.size(), kMagic) == 0) {
     MultiSnapshot snapshot;
     snapshot.shard_images.push_back(image);
     return snapshot;
@@ -489,9 +255,11 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
   if (!status.ok()) {
     return status;
   }
-  if (shard_count == 0 || shard_count > 4096) {
-    return Status::DataLoss("implausible shard count in snapshot: " +
-                            std::to_string(shard_count));
+  if (shard_count == 0 ||
+      shard_count > static_cast<std::uint32_t>(kMaxEngines)) {
+    return Status::DataLoss("snapshot shard count must be in [1, " +
+                            std::to_string(kMaxEngines) + "], got " +
+                            std::to_string(shard_count) + ": " + origin);
   }
   status = reader.U64(&snapshot.submit_seq);
   if (!status.ok()) {
@@ -505,7 +273,7 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
       return status;
     }
     std::string shard_image;
-    status = reader.Str64(&shard_image, image_size);
+    status = reader.Bytes(&shard_image, image_size);
     if (!status.ok()) {
       return status;
     }
@@ -518,7 +286,7 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
 }
 
 StatusOr<MultiSnapshot> LoadMultiSnapshot(const std::string& path) {
-  StatusOr<std::string> read = ReadWholeFile(path);
+  StatusOr<std::string> read = ReadFile(path);
   if (!read.ok()) {
     return read.status();
   }
@@ -550,21 +318,14 @@ std::string EncodeFedSnapshot(const FedSnapshot& snapshot) {
     PutU64(payload, cluster.image.size());
     payload += cluster.image;
   }
-
-  std::string file;
-  file.append(kFedMagic, sizeof(kFedMagic));
-  PutU32(file, kFedSnapshotVersion);
-  PutU64(file, payload.size());
-  file += payload;
-  PutU64(file, Fnv1a(payload));
-  return file;
+  return SealEnvelope(kFedMagic, kFedSnapshotVersion, payload);
 }
 
 Status SaveFedSnapshot(const FedSnapshot& snapshot, const std::string& path) {
   if (snapshot.clusters.empty()) {
     return Status::InvalidArgument("federation snapshot has no clusters");
   }
-  return WriteFileAtomic(EncodeFedSnapshot(snapshot), path);
+  return WriteFileAtomic(path, EncodeFedSnapshot(snapshot));
 }
 
 StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
@@ -619,15 +380,26 @@ StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
                             std::to_string(cluster_count));
   }
   snapshot.clusters.reserve(cluster_count);
+  std::uint64_t engines = 0;
   for (std::uint32_t i = 0; i < cluster_count; ++i) {
     FedClusterImage cluster;
     status = reader.Str(&cluster.name);
     if (status.ok()) status = reader.U8(&cluster.kind);
     if (status.ok()) status = reader.I64(&cluster.loan_priority);
     if (status.ok()) status = reader.U32(&cluster.shards);
+    if (!status.ok()) {
+      return status;
+    }
+    // Checked here, before a restore constructs any engine.
+    engines += cluster.shards;
+    if (cluster.shards == 0 ||
+        engines > static_cast<std::uint64_t>(kMaxEngines)) {
+      return Status::DataLoss("federation engine count must be in [1, " +
+                              std::to_string(kMaxEngines) + "]: " + origin);
+    }
     std::uint64_t image_size = 0;
-    if (status.ok()) status = reader.U64(&image_size);
-    if (status.ok()) status = reader.Str64(&cluster.image, image_size);
+    status = reader.U64(&image_size);
+    if (status.ok()) status = reader.Bytes(&cluster.image, image_size);
     if (!status.ok()) {
       return status;
     }
@@ -640,7 +412,7 @@ StatusOr<FedSnapshot> DecodeFedSnapshot(const std::string& image,
 }
 
 StatusOr<FedSnapshot> LoadFedSnapshot(const std::string& path) {
-  StatusOr<std::string> read = ReadWholeFile(path);
+  StatusOr<std::string> read = ReadFile(path);
   if (!read.ok()) {
     return read.status();
   }

@@ -10,12 +10,10 @@
 // behaviour, the restored service's decision log and fault-log hash are
 // byte-identical to an uninterrupted run's (ctest-enforced).
 //
-// File layout (all integers little-endian, doubles as IEEE-754 bit patterns):
-//   magic  "LYRASNAP" (8 bytes)
-//   u32    version (currently 1; any other value is rejected)
-//   u64    payload size
-//   bytes  payload: EngineConfig, command count, commands, horizon
-//   u64    FNV-1a hash of the payload (integrity gate)
+// File layout: the checksummed envelope of src/common/envelope.h with magic
+// "LYRASNAP" and version kSnapshotVersion around the payload (EngineConfig,
+// command count, commands, horizon; integers little-endian, doubles as
+// IEEE-754 bit patterns).
 #ifndef SRC_SVC_SNAPSHOT_H_
 #define SRC_SVC_SNAPSHOT_H_
 
@@ -63,8 +61,9 @@ struct ServiceSnapshot {
 
 Status SaveSnapshot(const ServiceSnapshot& snapshot, const std::string& path);
 
-// InvalidArgument on bad magic or an unsupported version, DataLoss on a
-// truncated file or checksum mismatch.
+// NotFound for a missing file, InvalidArgument on bad magic or an
+// unsupported version, DataLoss on a truncated file, a checksum mismatch or
+// trailing bytes.
 StatusOr<ServiceSnapshot> LoadSnapshot(const std::string& path);
 
 // String-level codec for the exact LYRASNAP file image (magic + version +
@@ -82,14 +81,15 @@ StatusOr<ServiceSnapshot> DecodeSnapshot(const std::string& image,
 // end's submit-routing sequence number, so a warm restart resumes routing
 // keyless submits to the same shards an uninterrupted run would have.
 //
-// File layout mirrors LYRASNAP:
-//   magic  "LYRASHRD" (8 bytes)
-//   u32    version (currently 1)
-//   u64    payload size
-//   bytes  payload: u32 shard count, u64 submit_seq,
-//                   then per shard: u64 image size + LYRASNAP image bytes
-//   u64    FNV-1a hash of the payload
+// File layout: the src/common/envelope.h envelope with magic "LYRASHRD"
+// around the payload u32 shard count, u64 submit_seq, then per shard: u64
+// image size + LYRASNAP image bytes.
 inline constexpr std::uint32_t kMultiSnapshotVersion = 1;
+
+// Most engines one process runs: the shards of one fleet, or all shards of
+// all clusters in a federation. Builders refuse more, and the decoders
+// reject a snapshot holding more before any engine is constructed.
+inline constexpr int kMaxEngines = 64;
 
 struct MultiSnapshot {
   std::uint64_t submit_seq = 0;
@@ -120,14 +120,10 @@ StatusOr<MultiSnapshot> DecodeMultiSnapshot(const std::string& image,
 // broker's ledger (active loans + rolling event hash), so a restart resumes
 // routing, granting, and reclaiming exactly where the killed process was.
 //
-// File layout mirrors LYRASNAP/LYRASHRD:
-//   magic  "LYRAFED_" (8 bytes)
-//   u32    version (currently 1)
-//   u64    payload size
-//   bytes  payload: u64 submit_seq, broker ledger, u32 cluster count,
-//                   then per cluster: name, u8 kind, i64 loan_priority,
-//                   u32 shards, u64 image size + image bytes
-//   u64    FNV-1a hash of the payload
+// File layout: the src/common/envelope.h envelope with magic "LYRAFED_"
+// around the payload u64 submit_seq, broker ledger, u32 cluster count, then
+// per cluster: name, u8 kind, i64 loan_priority, u32 shards, u64 image size
+// + image bytes.
 inline constexpr std::uint32_t kFedSnapshotVersion = 1;
 
 // One outstanding cross-cluster loan, as carried in the broker ledger.

@@ -719,5 +719,77 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   std::remove(path.c_str());
 }
 
+// The LYRAFED container's corruption defenses, the same matrix as LYRASNAP
+// and LYRASHRD (one shared envelope), plus the engine cap: a container whose
+// clusters declare more than kMaxEngines shards in total is rejected at
+// decode, before a restore constructs any engine.
+TEST(Federation, FedSnapshotCorruptionIsDetected) {
+  ServiceSnapshot inner;
+  inner.horizon = 10.0;
+  const std::string image = EncodeSnapshot(inner);
+  FedSnapshot snapshot;
+  snapshot.submit_seq = 4;
+  FedLoan loan;
+  loan.lender = 0;
+  loan.borrower = 1;
+  loan.gpus = 8;
+  snapshot.ledger.loans.push_back(loan);
+  for (const char* name : {"inf0", "train0"}) {
+    FedClusterImage cluster;
+    cluster.name = name;
+    cluster.kind = snapshot.clusters.empty() ? 0 : 1;
+    cluster.image = image;
+    snapshot.clusters.push_back(cluster);
+  }
+  const std::string path = TempPath("fed_corrupt");
+  ASSERT_TRUE(SaveFedSnapshot(snapshot, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.substr(0, 8), "LYRAFED_");
+  ASSERT_TRUE(LoadFedSnapshot(path).ok());
+
+  const auto write_bytes = [&path](const std::string& data) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << data;
+  };
+  // Flipped payload byte: checksum mismatch.
+  std::string flipped = bytes;
+  flipped[bytes.size() / 2] =
+      static_cast<char>(flipped[bytes.size() / 2] ^ 0x5a);
+  write_bytes(flipped);
+  EXPECT_FALSE(LoadFedSnapshot(path).ok());
+  // Truncation mid-payload.
+  write_bytes(bytes.substr(0, bytes.size() / 2));
+  EXPECT_FALSE(LoadFedSnapshot(path).ok());
+  // Wrong magic.
+  std::string bad_magic = bytes;
+  bad_magic[0] = 'X';
+  write_bytes(bad_magic);
+  EXPECT_FALSE(LoadFedSnapshot(path).ok());
+  EXPECT_FALSE(IsFedSnapshotFile(path));
+  // Future container version.
+  std::string bad_version = bytes;
+  bad_version[8] = 0x7f;
+  write_bytes(bad_version);
+  EXPECT_FALSE(LoadFedSnapshot(path).ok());
+  // Trailing garbage after the checksum: rejected, not ignored.
+  write_bytes(bytes + "junk");
+  EXPECT_FALSE(LoadFedSnapshot(path).ok());
+  // Intact bytes still load.
+  write_bytes(bytes);
+  EXPECT_TRUE(LoadFedSnapshot(path).ok());
+
+  // Over the engine cap: decode fails, so the restore never builds engines.
+  snapshot.clusters[1].shards = static_cast<std::uint32_t>(kMaxEngines);
+  ASSERT_TRUE(SaveFedSnapshot(snapshot, path).ok());
+  const StatusOr<FedSnapshot> over = LoadFedSnapshot(path);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kDataLoss);
+  StatusOr<FederationSet> restored =
+      RestoreFederation(BaseOptions(), path, MakeVirtualDriver);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace lyra::svc

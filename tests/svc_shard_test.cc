@@ -491,6 +491,9 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   bad_version[8] = 0x7f;
   write_bytes(bad_version);
   EXPECT_FALSE(LoadMultiSnapshot(path).ok());
+  // Trailing garbage after the checksum: rejected, not ignored.
+  write_bytes(bytes + "junk");
+  EXPECT_FALSE(LoadMultiSnapshot(path).ok());
   // Intact bytes still load.
   write_bytes(bytes);
   EXPECT_TRUE(LoadMultiSnapshot(path).ok());
@@ -511,6 +514,34 @@ TEST(Shard, MultiSnapshotRoundTripsAndDetectsCorruption) {
   ASSERT_EQ(plain.value().shard_images.size(), 1u);
   EXPECT_EQ(plain.value().shard_images[0], image);
   std::remove(single_path.c_str());
+}
+
+// The engine cap (kMaxEngines) holds on restore too: a LYRASHRD file holding
+// one image more than BuildShardSet would ever write is rejected at decode,
+// before any engine is constructed.
+TEST(Shard, RestoreRejectsMoreShardsThanTheEngineCap) {
+  ServiceSnapshot inner;
+  inner.horizon = 10.0;
+  MultiSnapshot multi;
+  multi.shard_images.assign(static_cast<std::size_t>(kMaxEngines) + 1,
+                            EncodeSnapshot(inner));
+  const std::string path = TempPath("too_many");
+  ASSERT_TRUE(SaveMultiSnapshot(multi, path).ok());
+  StatusOr<ShardSet> restored =
+      RestoreShardSet(FleetOptions(), path, MakeVirtualDriver);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(restored.status().message().find("shard count"), std::string::npos)
+      << restored.status().message();
+
+  // At the cap itself the container still decodes.
+  multi.shard_images.pop_back();
+  StatusOr<MultiSnapshot> at_cap =
+      DecodeMultiSnapshot(EncodeMultiSnapshot(multi), "at cap");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().message();
+  EXPECT_EQ(at_cap.value().shard_images.size(),
+            static_cast<std::size_t>(kMaxEngines));
+  std::remove(path.c_str());
 }
 
 // Pipelined submits and reads over the sharded event loop: replies come back

@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "src/common/envelope.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/svc/service.h"
@@ -277,6 +278,10 @@ TEST(Snapshot, CorruptionIsDetected) {
   write_bytes(bad_version);
   EXPECT_FALSE(LoadSnapshot(path).ok());
 
+  // Trailing garbage after the checksum: rejected, not ignored.
+  write_bytes(bytes + "junk");
+  EXPECT_FALSE(LoadSnapshot(path).ok());
+
   // Intact bytes still load (the helpers above did not wreck the fixture).
   write_bytes(bytes);
   EXPECT_TRUE(LoadSnapshot(path).ok());
@@ -285,6 +290,24 @@ TEST(Snapshot, CorruptionIsDetected) {
 
   // Missing file.
   EXPECT_FALSE(LoadSnapshot(TempPath("missing")).ok());
+}
+
+// A checksum-valid payload can still lie: a command count near 2^62 must
+// fail as DataLoss when the commands run out, not abort in an up-front
+// allocation sized by the count.
+TEST(Snapshot, HostileCommandCountIsDataLoss) {
+  ServiceSnapshot snapshot;
+  snapshot.horizon = 5.0;
+  StatusOr<std::string> payload =
+      OpenEnvelope(EncodeSnapshot(snapshot), "LYRASNAP", kSnapshotVersion, "t");
+  ASSERT_TRUE(payload.ok()) << payload.status().message();
+  // With no commands the payload ends in the u64 count and the f64 horizon.
+  std::string lying = payload.value();
+  lying[lying.size() - 9] = 0x40;  // count = 2^62
+  const StatusOr<ServiceSnapshot> decoded = DecodeSnapshot(
+      SealEnvelope("LYRASNAP", kSnapshotVersion, lying), "hostile count");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace
