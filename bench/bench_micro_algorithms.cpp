@@ -56,6 +56,28 @@ void BM_MckpPaperScale(benchmark::State& state) {
 }
 BENCHMARK(BM_MckpPaperScale);
 
+void BM_MckpPaperShape(benchmark::State& state) {
+  // The mean instance of a paper-scale simulation: 76 elastic jobs, each
+  // offering k = 1..n extra workers of gpw GPUs (item weight k * gpw) for a
+  // diminishing remaining-time reduction, over 419 GPUs of capacity.
+  lyra::Rng rng(13);
+  constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
+  std::vector<lyra::MckpGroup> groups(76);
+  for (lyra::MckpGroup& group : groups) {
+    const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 4));
+    const int extra = static_cast<int>(rng.UniformInt(1, 10));
+    const double work = rng.Uniform(1e3, 1e6);
+    for (int k = 1; k <= extra; ++k) {
+      group.items.push_back({k * gpw, work / min_workers - work / (min_workers + k)});
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lyra::SolveMckp(groups, 419));
+  }
+}
+BENCHMARK(BM_MckpPaperShape);
+
 void BM_MckpByCapacity(benchmark::State& state) {
   const auto groups = RandomMckp(400, 7);
   const int capacity = static_cast<int>(state.range(0));

@@ -49,8 +49,13 @@ CapacityLedger BuildLedger(const SchedulerContext& ctx) {
   if (ctx.allow_loaned_placement) {
     ledger.loaned = cluster.FreeGpus(ServerPool::kOnLoan) * kInferenceGpuFactor;
   }
-  // Flexible workers are resizable: add their GPUs back as capacity.
+  // Flexible workers are resizable: add their GPUs back as capacity. Only
+  // elastic jobs ever hold flexible GPUs (pinned for every scheduler by
+  // scheduler_conformance_test), so the others are skipped unread.
   for (const Job* job : ctx.running) {
+    if (!job->spec().elastic()) {
+      continue;
+    }
     const JobPlacement* placement = cluster.FindPlacement(job->id());
     if (placement == nullptr) {
       continue;
@@ -133,6 +138,7 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
   for (Job* job : elastic) {
     const JobSpec& spec = job->spec();
     MckpGroup group;
+    group.items.reserve(static_cast<std::size_t>(spec.max_workers - spec.min_workers));
     const TimeSec base_time = job->EstimatedRemainingTime(spec.min_workers);
     for (int k = 1; k <= spec.max_workers - spec.min_workers; ++k) {
       MckpItem item;

@@ -29,8 +29,13 @@ struct MckpSolution {
   std::vector<int> chosen;
 };
 
-// Exact DP solution. Capacity and weights must be non-negative. Runs in
-// O(capacity * total_items) time and O(num_groups * capacity) space.
+// Exact DP solution. Capacity and weights must be non-negative. Group g's
+// row only spans the loads groups 0..g can reach, reach_g = min(capacity,
+// sum of their largest weights), so time is O(sum over groups of items_g *
+// reach_g). Space is (num_groups + 1) rows of min(capacity, reach) + 1
+// doubles in a per-thread arena reused across calls. An item is taken only
+// if it strictly beats the best without it, and of equal items the lowest
+// index wins.
 MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, int capacity);
 
 }  // namespace lyra

@@ -98,6 +98,15 @@ LstmNetwork& LstmNetwork::operator=(const LstmNetwork& other) {
 
 int LstmNetwork::num_parameters() const { return static_cast<int>(param_ptrs_.size()); }
 
+std::uint64_t LstmNetwork::ParameterCount(std::uint64_t hidden, std::uint64_t layers) {
+  // Per layer: w [4H x input], u [4H x H], b [4H]; the first layer's input is
+  // the scalar sample, the others' is the layer below. Then the H + 1 head.
+  const std::uint64_t gates = 4 * hidden;
+  const std::uint64_t first = gates + gates * hidden + gates;
+  const std::uint64_t deeper = 2 * gates * hidden + gates;
+  return first + (layers - 1) * deeper + hidden + 1;
+}
+
 std::vector<double> LstmNetwork::ExportParameters() const {
   std::vector<double> out(param_ptrs_.size());
   for (std::size_t i = 0; i < param_ptrs_.size(); ++i) {

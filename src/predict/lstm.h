@@ -77,6 +77,9 @@ class LstmNetwork {
   // --- Flat parameter access (checkpointing, gradient checks) --------------
 
   int num_parameters() const;
+  // num_parameters() of a network with this shape, in 64 bits and without
+  // constructing it (decoders size-check untrusted shapes with it first).
+  static std::uint64_t ParameterCount(std::uint64_t hidden, std::uint64_t layers);
   double parameter(int i) const { return *param_ptrs_[static_cast<std::size_t>(i)]; }
   void set_parameter(int i, double v) { *param_ptrs_[static_cast<std::size_t>(i)] = v; }
   const std::vector<double>& gradients() const { return grads_; }

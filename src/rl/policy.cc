@@ -23,7 +23,7 @@ Status ReadParameters(Reader& in, LstmNetwork* net, const char* head) {
   if (!status.ok()) {
     return status;
   }
-  if (static_cast<int>(count) != net->num_parameters()) {
+  if (count != static_cast<std::uint32_t>(net->num_parameters())) {
     return Status::DataLoss(std::string("LYRAPOL ") + head +
                             " parameter count mismatch: file has " +
                             std::to_string(count) + ", architecture needs " +
@@ -129,6 +129,13 @@ StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
       hidden > 4096 || layers == 0 || layers > 64) {
     return Status::DataLoss("LYRAPOL architecture out of range");
   }
+  // Both heads share one shape; each is a u32 count plus its f64 values.
+  // Check that the payload carries exactly that before building the heads,
+  // whose size a small hostile header could otherwise push to many GB.
+  const std::uint64_t head_parameters = LstmNetwork::ParameterCount(hidden, layers);
+  if (in.remaining() != 2 * (4 + 8 * head_parameters)) {
+    return Status::DataLoss("LYRAPOL payload size does not match its architecture");
+  }
   options.feature_count = static_cast<int>(feature_count);
   options.hidden = static_cast<int>(hidden);
   options.layers = static_cast<int>(layers);
@@ -138,9 +145,6 @@ StatusOr<PolicyNet> PolicyNet::Decode(const std::string& bytes) {
   if (status.ok()) status = ReadParameters(in, &policy.workers_, "worker");
   if (!status.ok()) {
     return status;
-  }
-  if (!in.AtEnd()) {
-    return Status::DataLoss("LYRAPOL payload has trailing bytes");
   }
   return policy;
 }

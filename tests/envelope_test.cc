@@ -6,6 +6,7 @@
 // also built per-target under ASan+UBSan (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -206,6 +207,47 @@ TEST(Envelope, ReaderIsBoundsChecked) {
   EXPECT_TRUE(blob.AtEnd());
   std::uint8_t byte = 0;
   EXPECT_EQ(blob.U8(&byte).code(), StatusCode::kDataLoss);
+}
+
+// A LYRAPOL header may name any shape up to hidden 4096 x 64 layers, about
+// 8.5G parameters per head. The decoder must compare the payload size with
+// that shape before it builds either head, so this 40-byte payload is
+// rejected at once instead of allocating hundreds of GB.
+TEST(Envelope, PolicyShapeIsCheckedBeforeConstruction) {
+  std::string payload;
+  PutU32(payload, static_cast<std::uint32_t>(rl::kFeatureCount));
+  PutU32(payload, 4096);  // hidden
+  PutU32(payload, 64);    // layers
+  PutU64(payload, 1);     // seed
+  PutF64(payload, 0.05);  // learning rate
+  PutU32(payload, 1);     // priority head: one parameter...
+  PutF64(payload, 0.5);   // ...which is all the payload holds
+  ASSERT_EQ(payload.size(), 40u);
+  const std::string image = SealEnvelope("LYRAPOL_", rl::kPolicyVersion, payload);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Status decoded = rl::PolicyNet::Decode(image).status();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(decoded.code(), StatusCode::kDataLoss) << decoded.message();
+  EXPECT_LT(seconds, 1.0);
+}
+
+// The size check's closed-form count agrees with the heads actually built.
+TEST(Envelope, PolicyParameterCountMatchesConstructedHeads) {
+  for (const int hidden : {1, 3, 8}) {
+    for (const int layers : {1, 2, 3}) {
+      rl::PolicyOptions options;
+      options.hidden = hidden;
+      options.layers = layers;
+      const rl::PolicyNet policy(options);
+      EXPECT_EQ(static_cast<std::uint64_t>(policy.num_parameters()),
+                2 * LstmNetwork::ParameterCount(static_cast<std::uint64_t>(hidden),
+                                                static_cast<std::uint64_t>(layers)))
+          << hidden << "x" << layers;
+      ASSERT_TRUE(rl::PolicyNet::Decode(policy.Encode()).ok()) << hidden << "x" << layers;
+    }
+  }
 }
 
 }  // namespace

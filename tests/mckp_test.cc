@@ -1,8 +1,15 @@
 // Unit + property tests for the multiple-choice knapsack solver (§5.2).
+// The differential tests also run per-target under ASan+UBSan (see
+// tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/lyra/mckp.h"
 
@@ -149,6 +156,159 @@ TEST(Mckp, LargeInstanceStaysFast) {
   const MckpSolution s = SolveMckp(groups, 245);
   EXPECT_GT(s.total_value, 0.0);
   EXPECT_LE(s.total_weight, 245);
+}
+
+// --- Differential test against the original solver --------------------------
+//
+// The earlier solver kept a per-group choice table and updated it with a
+// branch in the inner loop. SolveMckp must return exactly its answer: the
+// same chosen items, the same total weight and bit-identical total value,
+// including its tie-breaks (an item must strictly beat the previous best,
+// and the lowest-indexed of equal items wins). The reference is kept here
+// unchanged.
+MckpSolution ReferenceSolveMckp(const std::vector<MckpGroup>& groups, int capacity) {
+  LYRA_CHECK_GE(capacity, 0);
+  MckpSolution solution;
+  solution.chosen.assign(groups.size(), -1);
+  if (groups.empty() || capacity == 0) {
+    return solution;
+  }
+
+  // Never allocate DP columns beyond what all items together could use.
+  int useful_capacity = 0;
+  for (const MckpGroup& group : groups) {
+    int max_weight = 0;
+    for (const MckpItem& item : group.items) {
+      LYRA_CHECK_GE(item.weight, 0);
+      max_weight = std::max(max_weight, item.weight);
+    }
+    useful_capacity += max_weight;
+  }
+  const int cap = std::min(capacity, useful_capacity);
+  if (cap == 0) {
+    return solution;
+  }
+
+  const auto width = static_cast<std::size_t>(cap) + 1;
+  std::vector<double> dp(width, 0.0);
+  std::vector<double> next(width, 0.0);
+  // choice[g][c]: item index taken by group g at capacity c (-1 = none).
+  std::vector<std::vector<std::int16_t>> choice(
+      groups.size(), std::vector<std::int16_t>(width, -1));
+
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const MckpGroup& group = groups[g];
+    next = dp;  // default: take nothing from this group
+    for (std::size_t i = 0; i < group.items.size(); ++i) {
+      const MckpItem& item = group.items[i];
+      if (item.weight > cap || item.value <= 0.0) {
+        continue;
+      }
+      for (std::size_t c = static_cast<std::size_t>(item.weight); c < width; ++c) {
+        const double candidate = dp[c - static_cast<std::size_t>(item.weight)] + item.value;
+        if (candidate > next[c]) {
+          next[c] = candidate;
+          choice[g][c] = static_cast<std::int16_t>(i);
+        }
+      }
+    }
+    dp.swap(next);
+  }
+
+  // Backtrack from the best capacity.
+  std::size_t c = static_cast<std::size_t>(
+      std::max_element(dp.begin(), dp.end()) - dp.begin());
+  solution.total_value = dp[c];
+  for (std::size_t g = groups.size(); g-- > 0;) {
+    const int taken = choice[g][c];
+    solution.chosen[g] = taken;
+    if (taken >= 0) {
+      const int weight = groups[g].items[static_cast<std::size_t>(taken)].weight;
+      solution.total_weight += weight;
+      c -= static_cast<std::size_t>(weight);
+    }
+  }
+  return solution;
+}
+
+// Small instances built to hit the edge cases: integer values (many ties),
+// zero-weight items, values <= 0, weights above the capacity, capacity 0,
+// empty groups.
+struct Instance {
+  std::vector<MckpGroup> groups;
+  int capacity = 0;
+};
+
+Instance EdgeInstance(Rng& rng) {
+  Instance instance;
+  const bool integer_values = rng.NextBernoulli(0.5);
+  const int num_groups = static_cast<int>(rng.UniformInt(0, 8));
+  for (int g = 0; g < num_groups; ++g) {
+    MckpGroup group;
+    const int items = static_cast<int>(rng.UniformInt(0, 6));
+    for (int i = 0; i < items; ++i) {
+      const int weight = static_cast<int>(rng.UniformInt(0, 12));
+      const double value = integer_values
+                               ? static_cast<double>(rng.UniformInt(-2, 6))
+                               : rng.Uniform(-3.0, 10.0);
+      group.items.push_back({weight, value});
+    }
+    instance.groups.push_back(std::move(group));
+  }
+  instance.capacity = rng.NextBernoulli(0.1) ? 0 : static_cast<int>(rng.UniformInt(0, 30));
+  return instance;
+}
+
+// The shape Lyra's phase 2 produces: one group per elastic job, item k is
+// k extra workers of gpw GPUs (weight k * gpw) worth a concave remaining-time
+// reduction, about 76 jobs over a few hundred GPUs.
+Instance PaperShapedInstance(Rng& rng) {
+  constexpr int kGpusPerWorker[] = {1, 2, 4, 8};
+  Instance instance;
+  const int num_groups = static_cast<int>(rng.UniformInt(60, 90));
+  const bool integer_values = rng.NextBernoulli(0.3);
+  for (int g = 0; g < num_groups; ++g) {
+    MckpGroup group;
+    const int gpw = kGpusPerWorker[rng.UniformInt(0, 3)];
+    const int min_workers = static_cast<int>(rng.UniformInt(1, 4));
+    const int extra = static_cast<int>(rng.UniformInt(1, 10));
+    const double work = rng.Uniform(1e3, 1e6);
+    for (int k = 1; k <= extra; ++k) {
+      // Information-agnostic Lyra values a grant by its worker count alone.
+      const double value = integer_values
+                               ? static_cast<double>(k)
+                               : work / min_workers - work / (min_workers + k);
+      group.items.push_back({k * gpw, value});
+    }
+    instance.groups.push_back(std::move(group));
+  }
+  instance.capacity = static_cast<int>(rng.UniformInt(0, 600));
+  return instance;
+}
+
+void ExpectSameAsReference(const Instance& instance, const std::string& label) {
+  const MckpSolution want = ReferenceSolveMckp(instance.groups, instance.capacity);
+  const MckpSolution got = SolveMckp(instance.groups, instance.capacity);
+  ASSERT_EQ(got.chosen, want.chosen) << label;
+  ASSERT_EQ(got.total_weight, want.total_weight) << label;
+  ASSERT_EQ(std::memcmp(&got.total_value, &want.total_value, sizeof(double)), 0)
+      << label << ": " << got.total_value << " vs " << want.total_value;
+}
+
+TEST(MckpDifferential, EdgeCaseInstancesMatchReference) {
+  Rng rng(2023);
+  for (int n = 0; n < 100000; ++n) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameAsReference(EdgeInstance(rng), "edge instance " + std::to_string(n)));
+  }
+}
+
+TEST(MckpDifferential, PaperShapedInstancesMatchReference) {
+  Rng rng(419);
+  for (int n = 0; n < 1500; ++n) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAsReference(PaperShapedInstance(rng),
+                                                  "paper instance " + std::to_string(n)));
+  }
 }
 
 }  // namespace

@@ -3,13 +3,18 @@
 // allocation outside [0 or min, max] workers, no GPU-type mixing for
 // non-heterogeneous jobs, no loaned placement for non-fungible jobs, and no
 // touching of running jobs' base demand (the non-preemptive rule, §5.2).
+// Every registered scheduler must also keep flexible GPUs on elastic jobs
+// only: Lyra's capacity ledger (TwoPhaseAllocate) skips inelastic jobs when it
+// adds flexible GPUs back, which is exact only under that invariant.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "src/common/rng.h"
 #include "src/lyra/lyra_scheduler.h"
+#include "src/rl/policy.h"
 #include "src/sched/afs.h"
 #include "src/sched/elastic_util.h"
 #include "src/sched/fifo.h"
@@ -18,6 +23,7 @@
 #include "src/sched/placement_util.h"
 #include "src/sched/pollux.h"
 #include "src/sim/simulator.h"
+#include "src/svc/registry.h"
 #include "src/workload/synthetic.h"
 
 namespace lyra {
@@ -257,6 +263,105 @@ TEST_P(SchedulerFaultMatrix, SurvivesFaultsWithoutLeakingShares) {
 INSTANTIATE_TEST_SUITE_P(AllSchedulersAndFaults, SchedulerFaultMatrix,
                          ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Range(0, 3)));
+
+// --- Flexible GPUs stay on elastic jobs -------------------------------------
+//
+// A full simulation with loaning and faults for every registered scheduler:
+// before and after each scheduling tick, every inelastic job's placement
+// holds zero flexible GPUs.
+
+// Delegates to the scheduler under test and audits the cluster around each
+// call.
+class FlexibleShareAudit : public JobScheduler {
+ public:
+  explicit FlexibleShareAudit(JobScheduler* inner) : inner_(inner) {}
+
+  const char* name() const override { return inner_->name(); }
+  bool tunes_hyperparameters() const override {
+    return inner_->tunes_hyperparameters();
+  }
+
+  void Schedule(SchedulerContext& ctx) override {
+    Audit(ctx, "before");
+    inner_->Schedule(ctx);
+    Audit(ctx, "after");
+    ++ticks_;
+  }
+
+  int ticks() const { return ticks_; }
+  int elastic_flexible_seen() const { return elastic_flexible_seen_; }
+
+ private:
+  void Audit(const SchedulerContext& ctx, const char* when) {
+    for (const auto* jobs : {&ctx.running, &ctx.pending}) {
+      for (const Job* job : *jobs) {
+        const JobPlacement* placement = ctx.cluster->FindPlacement(job->id());
+        if (placement == nullptr) {
+          continue;
+        }
+        if (job->spec().elastic()) {
+          elastic_flexible_seen_ += placement->flexible_gpus() > 0 ? 1 : 0;
+          continue;
+        }
+        EXPECT_EQ(placement->flexible_gpus(), 0)
+            << inner_->name() << ": inelastic job " << job->id().value
+            << " holds flexible GPUs " << when << " tick " << ticks_;
+      }
+    }
+  }
+
+  JobScheduler* inner_;
+  int ticks_ = 0;
+  int elastic_flexible_seen_ = 0;
+};
+
+class FlexibleShares : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FlexibleShares, OnlyElasticJobsHoldFlexibleGpus) {
+  const std::string& name = GetParam();
+  std::string weights;
+  if (name == "learned") {
+    weights = ::testing::TempDir() + "/scheduler_conformance_learned.lyrapol";
+    ASSERT_TRUE(rl::PolicyNet().Save(weights).ok());
+  }
+  auto made = svc::MakeScheduler(name, false, false, weights);
+  ASSERT_TRUE(made.ok()) << name << ": " << made.status().message();
+  FlexibleShareAudit audit(made.value().get());
+
+  TestbedTraceOptions trace_options;
+  trace_options.num_jobs = 40;
+  trace_options.num_elastic_jobs = 15;
+  trace_options.max_demand_gpus = 16;
+  trace_options.submission_window = 4 * kHour;
+  trace_options.max_duration = kHour;
+  trace_options.seed = 23;
+  const Trace trace = MakeTestbedTrace(trace_options);
+
+  SimulatorOptions options;
+  options.training_servers = 4;
+  options.enable_loaning = true;
+  options.faults.enabled = true;
+  options.faults.seed = 5;
+  options.faults.server_mtbf = 4 * kHour;
+  options.faults.server_mttr = 30 * kMinute;
+  options.faults.worker_mtbf = 30 * kMinute;
+  options.faults.worker_restart_delay = 5 * kMinute;
+  LyraReclaimPolicy reclaim;
+  Simulator simulator(options, trace, &audit, &reclaim, SmallInference(4));
+  const SimulationResult result = simulator.Run();
+
+  EXPECT_GT(audit.ticks(), 0) << name;
+  EXPECT_GE(result.finished_jobs, 1u) << name;
+  if (name == "lyra") {
+    // The workload does exercise flexible grants.
+    EXPECT_GT(audit.elastic_flexible_seen(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRegisteredSchedulers, FlexibleShares,
+    ::testing::ValuesIn(svc::KnownSchedulerNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
 
 }  // namespace
 }  // namespace lyra
