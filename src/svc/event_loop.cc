@@ -914,7 +914,8 @@ class EventLoop::IoThread {
 
 EventLoop::EventLoop(SchedulerService* service, EventLoopOptions options)
     : owned_router_(std::make_unique<ShardRouter>(
-          std::vector<SchedulerService*>{service})),
+          std::vector<SchedulerService*>{service},
+          std::vector<ClusterSpec>(1))),
       router_(owned_router_.get()),
       options_(std::move(options)) {
   LYRA_CHECK(service != nullptr);

@@ -58,11 +58,11 @@ struct EventLoopOptions {
 
 class EventLoop {
  public:
-  // `service` must outlive the loop. Wraps the service in an owned one-shard
-  // router; every frame behaves exactly as before sharding existed.
+  // `service` must outlive the loop. Wraps the service in an owned
+  // one-engine router, which delegates every frame straight to it.
   EventLoop(SchedulerService* service, EventLoopOptions options);
-  // Sharded front end: frames route through `router` (which must outlive the
-  // loop). I/O-thread telemetry and protocol-error counts home on
+  // Multi-engine front end: frames route through `router` (which must
+  // outlive the loop). I/O-thread telemetry and protocol-error counts home on
   // router->front().
   EventLoop(ShardRouter* router, EventLoopOptions options);
   ~EventLoop();

@@ -1,50 +1,31 @@
-// Multi-cluster federation for the online scheduler service (DESIGN.md §11).
+// Multi-cluster federation policy for the online scheduler service
+// (DESIGN.md §11).
 //
 // Lyra loans capacity from one inference cluster to one training cluster;
-// Aryl (PAPERS.md) generalizes the pattern to a fleet. A FederationRouter
-// runs N inference + M training clusters — each cluster its own group of
-// single-writer SchedulerService engines, reusing the ShardRouter's
-// engine-pool plumbing — behind the one epoll front end:
+// Aryl (PAPERS.md) generalizes the pattern to a fleet of N inference + M
+// training clusters. ShardRouter (shard_router.h) runs every topology — its
+// input is always a list of ClusterSpecs, and one cluster is a plain shard
+// fleet — so this header holds only the federation's policy:
 //
-//   - Submits route by explicit "cluster" field (name or index) or by job
-//     kind ("kind": "inference" | "training", default training); within the
-//     chosen engine set the key hash / submit counter picks the engine with
-//     the same FNV-1a discipline engine sharding uses, so routing stays a
-//     pure function of (cluster, key | sequence).
-//   - Global job ids keep PR 8's arithmetic over the *flat* engine pool
-//     (G = L * E + e); the engine index e now carries the cluster dimension,
-//     since each cluster owns a contiguous engine range. At E == 1 the
-//     scheme degrades to the plain service's raw ids, and every reply byte
-//     matches an unsharded SchedulerService run (conformance-tested).
-//   - A LoanBroker matches training demand (pending jobs) against inference
-//     clusters' idle capacity under per-cluster loan priorities, reclaims
-//     loans when an inference cluster's free pool dips into its reserve
-//     (load spike), and returns loans the borrower no longer needs. The
-//     broker evaluates at advance/drain barriers — barrier merges are
+//   - ClusterSpec and the `--federation=` spec grammar (ParseFederationSpec);
+//   - the migration checkpoint costs;
+//   - LoanBroker, which matches training demand (pending jobs) against
+//     inference clusters' idle capacity under per-cluster loan priorities,
+//     reclaims loans when an inference cluster's free pool dips into its
+//     reserve (load spike), and returns loans the borrower no longer needs.
+//     The router evaluates it at advance/drain barriers — barrier merges are
 //     strictly serialized by the fanout countdown, so the decision trace is
 //     deterministic and golden-diffable.
-//   - `migrate` moves a job between training clusters for defragmentation:
-//     cancel on the source engine, resubmit on the destination with the
-//     remaining work plus a checkpoint cost (cheap when the job
-//     checkpoints, expensive when it must recompute).
-//   - `snapshot` gathers per-engine images into per-cluster LYRASHRD
-//     containers nested in one LYRAFED file together with the broker ledger
-//     and routing counter; a warm restart rebuilds every cluster
-//     byte-identically and resumes loans mid-flight.
 #ifndef SRC_SVC_FEDERATION_H_
 #define SRC_SVC_FEDERATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/predict/predictor.h"
-#include "src/svc/shard_router.h"
 #include "src/svc/snapshot.h"
 
 namespace lyra::svc {
@@ -52,6 +33,8 @@ namespace lyra::svc {
 enum class ClusterKind : std::uint8_t { kInference = 0, kTraining = 1 };
 
 const char* ClusterKindName(ClusterKind kind);
+// Accepts "inference"/"inf" and "training"/"train"; false otherwise.
+bool ParseClusterKind(const std::string& token, ClusterKind* kind);
 
 struct ClusterSpec {
   std::string name;  // [A-Za-z0-9_.-]+, unique within the federation
@@ -68,17 +51,26 @@ struct ClusterSpec {
 // Default names are inf0..infN-1 / train0..trainM-1.
 StatusOr<std::vector<ClusterSpec>> ParseFederationSpec(const std::string& spec);
 
+// The rules every topology obeys: at least one cluster, valid and unique
+// names, each cluster's shard count and the engine total in
+// [1, kMaxEngines]. InvalidArgument naming the first violation.
+Status ValidateClusters(const std::vector<ClusterSpec>& clusters);
+
 // Checkpoint cost charged to a migrated job, in GPU-seconds of extra work:
 // a checkpointing job resumes from its last checkpoint; a non-checkpointing
 // job pays the cold restart (Lyra §4: checkpoint/restore vs recompute).
 inline constexpr double kMigrationCheckpointCost = 60.0;
 inline constexpr double kMigrationColdCost = 300.0;
 
+// Outstanding GPUs lent by / borrowed by cluster `cluster` in `ledger`.
+std::int64_t LoanedBy(const FedLedger& ledger, std::uint32_t cluster);
+std::int64_t BorrowedBy(const FedLedger& ledger, std::uint32_t cluster);
+
 // The cross-cluster loan ledger and its policy. NOT thread-safe: the
-// FederationRouter serializes access (barrier merges + migration
-// completions) behind one mutex. Every decision appends a formatted event
-// line and folds it into a rolling FNV-1a `ledger_hash` — the byte-identity
-// witness for golden-trace and warm-restart tests.
+// router serializes access (barrier merges + migration completions) behind
+// one mutex. Every decision appends a formatted event line and folds it
+// into a rolling FNV-1a `ledger_hash` — the byte-identity witness for
+// golden-trace and warm-restart tests.
 class LoanBroker {
  public:
   // Fraction of an inference cluster's GPUs never lent out; dipping below
@@ -133,9 +125,12 @@ class LoanBroker {
                        std::uint32_t from_cluster, std::uint32_t to_cluster,
                        double checkpoint_cost);
 
-  // Outstanding GPUs lent by / borrowed by a cluster.
-  std::int64_t LoanedBy(std::uint32_t cluster) const;
-  std::int64_t BorrowedBy(std::uint32_t cluster) const;
+  std::int64_t LoanedBy(std::uint32_t cluster) const {
+    return svc::LoanedBy(ledger_, cluster);
+  }
+  std::int64_t BorrowedBy(std::uint32_t cluster) const {
+    return svc::BorrowedBy(ledger_, cluster);
+  }
 
   const FedLedger& ledger() const { return ledger_; }
   void RestoreLedger(const FedLedger& ledger) { ledger_ = ledger; }
@@ -159,112 +154,6 @@ class LoanBroker {
   // its own predictor so one cluster's history never leaks into another's.
   std::vector<std::unique_ptr<UsagePredictor>> predictors_;
 };
-
-// The federation front end: a ShardRouter over the flat engine pool whose
-// routing, barriers, reads, and snapshots are cluster-aware. Drop-in for
-// the EventLoop (which only sees the ShardRouter interface).
-class FederationRouter : public ShardRouter {
- public:
-  // `engines` is the flat pool; clusters own contiguous ranges in spec
-  // order (sum of spec shards must equal engines.size()).
-  FederationRouter(std::vector<SchedulerService*> engines,
-                   std::vector<ClusterSpec> clusters);
-
-  int cluster_count() const { return static_cast<int>(clusters_.size()); }
-  const ClusterSpec& cluster_spec(int c) const {
-    return clusters_[static_cast<std::size_t>(c)];
-  }
-  int cluster_first_engine(int c) const {
-    return first_engine_[static_cast<std::size_t>(c)];
-  }
-  std::uint32_t ClusterOfEngine(std::uint32_t engine) const {
-    return engine_cluster_[engine];
-  }
-  int FindCluster(const std::string& name) const;  // -1 when unknown
-
-  // Thread-safe pass-through to LoanBroker::ConfigurePredictor.
-  Status ConfigureLoanPredictor(const std::string& name);
-
-  // Thread-safe copies of the broker state (tools, tests, stats).
-  FedLedger LedgerCopy() const;
-  std::vector<std::string> RecentEvents() const;
-  void RestoreLedger(const FedLedger& ledger);
-  // Post-restore loan reconciliation at the engines' current frontier.
-  void ReconcileBroker();
-
-  Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const override;
-  std::uint32_t BeginEngine(TelemetryCmd cmd, JsonValue& request,
-                            const Plan& plan) override;
-  void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
-                      std::shared_ptr<SchedulerService::CompletionSink> sink,
-                      std::uint64_t a, std::uint64_t b) override;
-  JsonValue ReadReply(const JsonValue& request) const override;
-  std::string RenderPromText() const override;
-
- protected:
-  JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
-                        const std::string& snapshot_path,
-                        std::uint64_t snapshot_submit_seq,
-                        std::vector<JsonValue>& replies) const override;
-
- private:
-  class MigrationSink;
-
-  // Candidate engines for a submit: the explicit cluster's range, or every
-  // engine of the requested kind. nullptr when the target doesn't resolve.
-  const std::vector<std::uint32_t>* TargetEngines(
-      const JsonValue& request) const;
-  JsonValue RejectReply(TelemetryCmd cmd, const JsonValue& request) const;
-  void StartMigration(JsonValue request,
-                      std::shared_ptr<SchedulerService::CompletionSink> sink,
-                      std::uint64_t a, std::uint64_t b);
-  JsonValue FederationStats(const JsonValue& request) const;
-  // Per-cluster stats object (jobs by state, pools, loan balance) shared by
-  // federation_stats and the cluster_stats read augmentation.
-  JsonValue ClusterInfo(int c, const FedLedger& ledger) const;
-  JsonValue MergeFederationSnapshot(const JsonValue& request,
-                                    const std::string& snapshot_path,
-                                    std::uint64_t snapshot_submit_seq,
-                                    std::vector<JsonValue>& replies) const;
-  LoanBroker::ClusterSignal SignalFor(int c) const;
-  std::vector<LoanBroker::ClusterSignal> CollectSignals() const;
-  double MaxEngineTime() const;
-
-  std::vector<ClusterSpec> clusters_;
-  std::vector<int> first_engine_;                        // per cluster
-  std::vector<std::uint32_t> engine_cluster_;            // per engine
-  std::vector<std::vector<std::uint32_t>> cluster_engines_;  // per cluster
-  std::vector<std::uint32_t> kind_engines_[2];           // per ClusterKind
-  // Guards the broker: barrier merges run serialized on engine threads, but
-  // migration completions land on arbitrary engine threads concurrently.
-  mutable std::mutex broker_mu_;
-  mutable LoanBroker broker_;
-};
-
-// A federation fleet plus its router, built together — the federation
-// counterpart of ShardSet.
-struct FederationSet {
-  std::vector<std::unique_ptr<SchedulerService>> services;
-  std::unique_ptr<FederationRouter> router;
-};
-
-// Builds and Start()s one engine per (cluster, shard), flat engine index k
-// getting seed base.engine.seed + k (the engine-shard discipline, so a
-// one-engine federation is the unsharded service exactly) and trace_path
-// + ".fed<k>" for k > 0 when tracing.
-StatusOr<FederationSet> BuildFederation(
-    const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
-    const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
-
-// Restores a federation from a LYRAFED container: cluster layout, per-engine
-// images, routing counter, and broker ledger all come from the file;
-// runtime knobs come from `base`. Loans are reconciled after the restore.
-StatusOr<FederationSet> RestoreFederation(
-    const ServiceOptions& base, const std::string& snapshot_path,
-    const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
-
-// True when `path` starts with the LYRAFED magic (daemon restore sniffing).
-bool IsFedSnapshotFile(const std::string& path);
 
 }  // namespace lyra::svc
 

@@ -1,6 +1,7 @@
 #include "src/svc/shard_router.h"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -47,9 +48,20 @@ void MergeNumeric(JsonValue& into, const JsonValue& from) {
   }
 }
 
-std::string ShardSuffixPath(const std::string& path, int shard) {
-  return path + ".shard" + std::to_string(shard);
+// How a "cluster"/"to" field renders in error messages.
+std::string DescribeTarget(const JsonValue& target) {
+  if (target.is_string()) {
+    return target.AsString();
+  }
+  if (target.is_number()) {
+    return std::to_string(target.AsInt());
+  }
+  return "?";
 }
+
+// Labels for StateSnapshot::state_counts, indexed by JobState.
+constexpr const char* kJobStates[] = {"pending", "running", "finished",
+                                      "cancelled"};
 
 }  // namespace
 
@@ -123,46 +135,211 @@ class ShardRouter::WaitSink : public SchedulerService::CompletionSink {
   JsonValue reply_;
 };
 
-ShardRouter::ShardRouter(std::vector<SchedulerService*> shards)
-    : shards_(std::move(shards)) {
+// Two-hop migration chain: cancel on the source engine, then resubmit on the
+// destination engine with the remaining work plus the checkpoint cost. Each
+// hop's reply arrives on that engine's thread; `a` carries the phase.
+class ShardRouter::MigrationSink
+    : public SchedulerService::CompletionSink,
+      public std::enable_shared_from_this<MigrationSink> {
+ public:
+  MigrationSink(ShardRouter* router, JsonValue original,
+                std::shared_ptr<SchedulerService::CompletionSink> parent,
+                std::uint64_t a, std::uint64_t b, std::int64_t from_global,
+                std::uint32_t source_engine, std::uint32_t dest_engine,
+                std::uint32_t dest_cluster, std::uint32_t source_cluster,
+                JsonValue submit, double checkpoint_cost)
+      : router_(router),
+        original_(std::move(original)),
+        parent_(std::move(parent)),
+        a_(a),
+        b_(b),
+        from_global_(from_global),
+        source_engine_(source_engine),
+        dest_engine_(dest_engine),
+        dest_cluster_(dest_cluster),
+        source_cluster_(source_cluster),
+        submit_(std::move(submit)),
+        checkpoint_cost_(checkpoint_cost) {}
+
+  void OnReply(std::uint64_t phase, std::uint64_t /*unused*/,
+               JsonValue reply) override {
+    if (!reply.GetBool("ok", false)) {
+      if (phase == 0) {
+        // The cancel's not_found names the shard-local id.
+        router_->RewriteReplyJob(source_engine_, reply);
+      }
+      EchoSeq(original_, reply);
+      parent_->OnReply(a_, b_, std::move(reply));
+      return;
+    }
+    if (phase == 0) {
+      // The job left the source at the cancel's engine time; it arrives at
+      // the destination no earlier (dest StampFor still maxes with its own
+      // frontier).
+      submit_.Replace("at",
+                      JsonValue::MakeNumber(reply.GetDouble("time", 0.0)));
+      router_->shard(static_cast<int>(dest_engine_))
+          ->ExecuteAsync(std::move(submit_), shared_from_this(), 1, 0,
+                         SchedulerService::CmdClass::kEngine);
+      return;
+    }
+    const std::int64_t local =
+        static_cast<std::int64_t>(reply.GetDouble("job", -1.0));
+    const std::int64_t to_global = router_->ToGlobal(local, dest_engine_);
+    const double time = reply.GetDouble("time", 0.0);
+    {
+      std::lock_guard<std::mutex> lock(router_->broker_mu_);
+      router_->broker_.RecordMigration(time, from_global_, to_global,
+                                       source_cluster_, dest_cluster_,
+                                       checkpoint_cost_);
+    }
+    JsonValue done = OkReply();
+    done.Set("job", JsonValue::MakeNumber(static_cast<double>(to_global)));
+    done.Set("from_job",
+             JsonValue::MakeNumber(static_cast<double>(from_global_)));
+    done.Set("cluster", JsonValue::MakeString(
+                            router_->clusters_[dest_cluster_].name));
+    done.Set("checkpoint_cost", JsonValue::MakeNumber(checkpoint_cost_));
+    done.Set("time", JsonValue::MakeNumber(time));
+    EchoSeq(original_, done);
+    parent_->OnReply(a_, b_, std::move(done));
+  }
+
+ private:
+  ShardRouter* const router_;
+  const JsonValue original_;
+  const std::shared_ptr<SchedulerService::CompletionSink> parent_;
+  const std::uint64_t a_;
+  const std::uint64_t b_;
+  const std::int64_t from_global_;
+  const std::uint32_t source_engine_;
+  const std::uint32_t dest_engine_;
+  const std::uint32_t dest_cluster_;
+  const std::uint32_t source_cluster_;
+  JsonValue submit_;
+  const double checkpoint_cost_;
+};
+
+struct ShardRouter::ClusterTally {
+  std::array<std::uint64_t, 4> states{};  // by JobState
+  PoolCounters pool;                      // the cluster's own pool
+};
+
+ShardRouter::ShardRouter(std::vector<SchedulerService*> shards,
+                         std::vector<ClusterSpec> clusters)
+    : shards_(std::move(shards)), clusters_(std::move(clusters)) {
   LYRA_CHECK(!shards_.empty());
   for (SchedulerService* shard : shards_) {
     LYRA_CHECK(shard != nullptr);
   }
+  LYRA_CHECK(!clusters_.empty());
+  std::uint32_t next = 0;
+  for (std::size_t c = 0; c < clusters_.size(); ++c) {
+    LYRA_CHECK(clusters_[c].shards >= 1);
+    std::vector<std::uint32_t> range;
+    for (int s = 0; s < clusters_[c].shards; ++s, ++next) {
+      range.push_back(next);
+      engine_cluster_.push_back(static_cast<std::uint32_t>(c));
+      kind_engines_[static_cast<int>(clusters_[c].kind)].push_back(next);
+    }
+    cluster_engines_.push_back(std::move(range));
+  }
+  LYRA_CHECK(next == shards_.size());
+}
+
+int ShardRouter::FindCluster(const std::string& name) const {
+  for (std::size_t c = 0; c < clusters_.size(); ++c) {
+    if (clusters_[c].name == name) {
+      return static_cast<int>(c);
+    }
+  }
+  return -1;
+}
+
+int ShardRouter::ResolveCluster(const JsonValue& target) const {
+  if (target.is_string()) {
+    return FindCluster(target.AsString());
+  }
+  if (target.is_number() && target.AsInt() >= 0 &&
+      target.AsInt() < cluster_count()) {
+    return static_cast<int>(target.AsInt());
+  }
+  return -1;
 }
 
 std::string ShardRouter::PartPath(const std::string& path, int shard) {
   return path + ".part" + std::to_string(shard);
 }
 
+std::string ShardRouter::EnginePath(const std::string& path, int shard) {
+  return shard == 0 || path.empty() ? path
+                                    : path + ".shard" + std::to_string(shard);
+}
+
 std::uint64_t ShardRouter::Hash(const void* data, std::size_t size) {
   return Fnv1a(std::string_view(static_cast<const char*>(data), size));
+}
+
+const std::vector<std::uint32_t>* ShardRouter::TargetEngines(
+    const JsonValue& request) const {
+  if (!federated()) {
+    return &cluster_engines_[0];
+  }
+  const JsonValue* cluster = request.Find("cluster");
+  if (cluster != nullptr) {
+    const int c = ResolveCluster(*cluster);
+    return c < 0 ? nullptr : &cluster_engines_[static_cast<std::size_t>(c)];
+  }
+  const JsonValue* kind_field = request.Find("kind");
+  ClusterKind kind = ClusterKind::kTraining;
+  if (kind_field != nullptr &&
+      (!kind_field->is_string() ||
+       !ParseClusterKind(kind_field->AsString(), &kind))) {
+    return nullptr;
+  }
+  const std::vector<std::uint32_t>& engines =
+      kind_engines_[static_cast<int>(kind)];
+  return engines.empty() ? nullptr : &engines;
 }
 
 ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
                                            const JsonValue& request) const {
   Plan plan;
+  if (cmd == TelemetryCmd::kMigrate) {
+    const JsonValue* job = request.Find("job");
+    if (!federated() || job == nullptr || !job->is_number()) {
+      plan.reject = true;
+      return plan;
+    }
+    plan.migrate = true;
+    plan.shard = ShardOfJob(job->AsInt());
+    plan.shed = shards_[plan.shard]->EngineSaturated();
+    return plan;
+  }
   if (shard_count() == 1) {
     plan.shed = front()->EngineSaturated();
     return plan;
   }
   switch (cmd) {
     case TelemetryCmd::kSubmit: {
+      const std::vector<std::uint32_t>* targets = TargetEngines(request);
+      if (targets == nullptr) {
+        plan.reject = true;
+        return plan;
+      }
       plan.rewrite_job = true;
       const JsonValue* key = request.Find("key");
+      std::uint64_t hash = 0;
       if (key != nullptr && key->is_string()) {
         const std::string& k = key->AsString();
-        plan.shard = static_cast<std::uint32_t>(
-            Hash(k.data(), k.size()) %
-            static_cast<std::uint64_t>(shard_count()));
+        hash = Hash(k.data(), k.size());
       } else {
         // Peek only: a shed submit must not consume a routing sequence
         // number, or a restore would route later submits differently than
         // the uninterrupted run (the counter is snapshotted).
-        plan.shard = static_cast<std::uint32_t>(
-            Fnv1aU64(submit_seq_.load(std::memory_order_relaxed)) %
-            static_cast<std::uint64_t>(shard_count()));
+        hash = Fnv1aU64(submit_seq_.load(std::memory_order_relaxed));
       }
+      plan.shard = (*targets)[hash % targets->size()];
       plan.shed = shards_[plan.shard]->EngineSaturated();
       return plan;
     }
@@ -185,7 +362,7 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
 
 std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd, JsonValue& request,
                                        const Plan& plan) {
-  if (shard_count() == 1 || plan.fanout) {
+  if (shard_count() == 1 || plan.fanout || plan.reject || plan.migrate) {
     return plan.shard;
   }
   if (cmd == TelemetryCmd::kSubmit) {
@@ -195,10 +372,10 @@ std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd, JsonValue& request,
     }
     // The fetch_add is the authoritative routing decision: two I/O threads
     // that both planned from the same peeked value still dispatch to
-    // distinct, deterministic shards.
+    // distinct, deterministic engines. RouteEngine validated the target.
+    const std::vector<std::uint32_t>* targets = TargetEngines(request);
     const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<std::uint32_t>(
-        Fnv1aU64(seq) % static_cast<std::uint64_t>(shard_count()));
+    return (*targets)[Fnv1aU64(seq) % targets->size()];
   }
   if (cmd == TelemetryCmd::kCancel && plan.rewrite_job) {
     const JsonValue* job = request.Find("job");
@@ -210,11 +387,46 @@ std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd, JsonValue& request,
   return plan.shard;
 }
 
+JsonValue ShardRouter::RejectReply(const JsonValue& request) const {
+  JsonValue reply;
+  const JsonValue* cluster = request.Find("cluster");
+  const JsonValue* kind = request.Find("kind");
+  ClusterKind parsed;
+  if (request.GetString("cmd") == "migrate") {
+    reply = federated()
+                ? ErrorReply("invalid_argument",
+                             "migrate requires a numeric \"job\"")
+                : ErrorReply("failed_precondition",
+                             "migration requires at least two clusters");
+  } else if (cluster != nullptr) {
+    reply = ErrorReply("invalid_argument",
+                       "no such cluster: " + DescribeTarget(*cluster));
+  } else if (kind != nullptr &&
+             (!kind->is_string() || !ParseClusterKind(kind->AsString(), &parsed))) {
+    reply = ErrorReply("invalid_argument",
+                       "unknown cluster kind: " + DescribeTarget(*kind));
+  } else {
+    reply = ErrorReply("failed_precondition",
+                       "no cluster of the requested kind");
+  }
+  EchoSeq(request, reply);
+  return reply;
+}
+
 void ShardRouter::DispatchEngine(
     const Plan& plan, std::uint32_t shard, JsonValue request,
     std::shared_ptr<SchedulerService::CompletionSink> sink, std::uint64_t a,
     std::uint64_t b) {
-  if (!plan.fanout || shard_count() == 1) {
+  if (plan.reject) {
+    front()->CountProtocolError();
+    sink->OnReply(a, b, RejectReply(request));
+    return;
+  }
+  if (plan.migrate) {
+    StartMigration(std::move(request), std::move(sink), a, b);
+    return;
+  }
+  if (!plan.fanout) {
     shards_[shard]->ExecuteAsync(std::move(request), std::move(sink), a, b,
                                  SchedulerService::CmdClass::kEngine);
     return;
@@ -242,6 +454,120 @@ void ShardRouter::DispatchEngine(
         std::move(copy), fan, static_cast<std::uint64_t>(k), 0,
         SchedulerService::CmdClass::kEngine);
   }
+}
+
+void ShardRouter::StartMigration(
+    JsonValue request, std::shared_ptr<SchedulerService::CompletionSink> sink,
+    std::uint64_t a, std::uint64_t b) {
+  const auto fail = [&](JsonValue reply) {
+    front()->CountProtocolError();
+    EchoSeq(request, reply);
+    sink->OnReply(a, b, std::move(reply));
+  };
+
+  const std::int64_t global = request.Find("job")->AsInt();  // RouteEngine-checked
+  const std::uint32_t source_engine = ShardOfJob(global);
+  const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
+
+  const JsonValue* to = request.Find("to");
+  if (to == nullptr) {
+    return fail(
+        ErrorReply("invalid_argument", "migrate requires a \"to\" cluster"));
+  }
+  const int dest = ResolveCluster(*to);
+  if (dest < 0) {
+    return fail(ErrorReply("invalid_argument",
+                           "no such cluster: " + DescribeTarget(*to)));
+  }
+  if (clusters_[static_cast<std::size_t>(dest)].kind !=
+      ClusterKind::kTraining) {
+    return fail(ErrorReply(
+        "failed_precondition",
+        "destination cluster \"" +
+            clusters_[static_cast<std::size_t>(dest)].name +
+            "\" is not a training cluster"));
+  }
+  if (clusters_[source_cluster].kind != ClusterKind::kTraining) {
+    return fail(ErrorReply("failed_precondition",
+                           "job " + std::to_string(global) +
+                               " is not on a training cluster"));
+  }
+  if (static_cast<std::uint32_t>(dest) == source_cluster) {
+    return fail(ErrorReply(
+        "failed_precondition",
+        "job " + std::to_string(global) + " is already on cluster \"" +
+            clusters_[source_cluster].name + "\""));
+  }
+
+  const std::shared_ptr<const StateSnapshot> snap =
+      shard(static_cast<int>(source_engine))->snapshot();
+  if (snap == nullptr ||
+      shard(static_cast<int>(source_engine))->stopped()) {
+    return fail(ErrorReply("unavailable", "service is stopped"));
+  }
+  // RCU read: the record can be stale, but the cancel below is the
+  // authoritative gate — a job that finished in between fails there and the
+  // engine error is forwarded verbatim.
+  const JobRecord* record = snap->FindJob(ToLocal(global));
+  if (record == nullptr) {
+    return fail(
+        ErrorReply("not_found", "no such job: " + std::to_string(global)));
+  }
+  if (record->state == JobState::kFinished ||
+      record->state == JobState::kCancelled) {
+    return fail(ErrorReply(
+        "failed_precondition",
+        "job " + std::to_string(global) + " is already " +
+            (record->state == JobState::kFinished ? "finished" : "cancelled")));
+  }
+
+  const double cost = record->spec.checkpointing ? kMigrationCheckpointCost
+                                                 : kMigrationColdCost;
+  // The destination engine comes from a dedicated hash, never the submit
+  // counter: migrations must not shift how later keyless submits route (the
+  // counter is snapshotted and replay-compared).
+  const std::string route_key = "migrate:" + std::to_string(global);
+  const std::vector<std::uint32_t>& dests =
+      cluster_engines_[static_cast<std::size_t>(dest)];
+  const std::uint32_t dest_engine =
+      dests[Hash(route_key.data(), route_key.size()) % dests.size()];
+
+  JsonValue submit = JsonValue::MakeObject();
+  submit.Set("cmd", JsonValue::MakeString("submit"));
+  submit.Set("at", JsonValue::MakeNumber(0.0));  // patched to the cancel time
+  submit.Set("gpus_per_worker", JsonValue::MakeNumber(
+                                    static_cast<double>(record->spec.gpus_per_worker)));
+  submit.Set("min_workers", JsonValue::MakeNumber(
+                                static_cast<double>(record->spec.min_workers)));
+  submit.Set("max_workers", JsonValue::MakeNumber(
+                                static_cast<double>(record->spec.max_workers)));
+  submit.Set("requested_workers",
+             JsonValue::MakeNumber(
+                 static_cast<double>(record->spec.requested_workers)));
+  submit.Set("fungible", JsonValue::MakeBool(record->spec.fungible));
+  submit.Set("heterogeneous", JsonValue::MakeBool(record->spec.heterogeneous));
+  submit.Set("checkpointing", JsonValue::MakeBool(record->spec.checkpointing));
+  submit.Set("model",
+             JsonValue::MakeString(ModelFamilyName(record->spec.model)));
+  submit.Set("total_work",
+             JsonValue::MakeNumber(record->work_remaining + cost));
+
+  JsonValue cancel = JsonValue::MakeObject();
+  cancel.Set("cmd", JsonValue::MakeString("cancel"));
+  cancel.Set("job",
+             JsonValue::MakeNumber(static_cast<double>(ToLocal(global))));
+  const JsonValue* at = request.Find("at");
+  if (at != nullptr && at->is_number()) {
+    cancel.Set("at", *at);
+  }
+
+  auto chain = std::make_shared<MigrationSink>(
+      this, std::move(request), std::move(sink), a, b, global, source_engine,
+      dest_engine, static_cast<std::uint32_t>(dest), source_cluster,
+      std::move(submit), cost);
+  shard(static_cast<int>(source_engine))
+      ->ExecuteAsync(std::move(cancel), std::move(chain), 0, 0,
+                     SchedulerService::CmdClass::kEngine);
 }
 
 void ShardRouter::RewriteReplyJob(std::uint32_t shard, JsonValue& reply) const {
@@ -321,25 +647,27 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       merged.Set("stopping", JsonValue::MakeBool(true));
       break;
     case TelemetryCmd::kSnapshot: {
-      // Gather the per-shard LYRASNAP part files into the LYRASHRD
-      // container, then drop the parts. Runs on the last engine thread to
-      // finish its part — snapshot writes are engine-thread file I/O anyway.
-      MultiSnapshot multi;
-      multi.submit_seq = snapshot_submit_seq;
+      // Gather the per-engine LYRASNAP part files into the container, then
+      // drop the parts. Runs on the last engine thread to finish its part —
+      // snapshot writes are engine-thread file I/O anyway.
+      std::vector<std::string> images;
       double time = 0.0, commands = 0.0;
+      Status saved = Status::Ok();
       for (std::size_t k = 0; k < replies.size(); ++k) {
         StatusOr<std::string> image =
             ReadFile(PartPath(snapshot_path, static_cast<int>(k)));
         if (!image.ok()) {
-          JsonValue failed = StatusReply(image.status());
-          EchoSeq(request, failed);
-          return failed;
+          saved = image.status();
+          break;
         }
-        multi.shard_images.push_back(std::move(image).value());
+        images.push_back(std::move(image).value());
         time = std::max(time, replies[k].GetDouble("time", 0.0));
         commands += replies[k].GetDouble("commands", 0.0);
       }
-      const Status saved = SaveMultiSnapshot(multi, snapshot_path);
+      if (saved.ok()) {
+        saved = SaveContainer(snapshot_path, snapshot_submit_seq,
+                              std::move(images));
+      }
       for (std::size_t k = 0; k < replies.size(); ++k) {
         std::remove(PartPath(snapshot_path, static_cast<int>(k)).c_str());
       }
@@ -353,13 +681,65 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       merged.Set("time", JsonValue::MakeNumber(time));
       merged.Set("shards",
                  JsonValue::MakeNumber(static_cast<double>(replies.size())));
+      if (federated()) {
+        merged.Set("clusters",
+                   JsonValue::MakeNumber(static_cast<double>(cluster_count())));
+      }
       break;
     }
     default:
       break;
   }
   EchoSeq(request, merged);
+  if (federated() &&
+      (cmd == TelemetryCmd::kAdvance || cmd == TelemetryCmd::kDrain)) {
+    // Broker round at the barrier: every engine has stepped to the merged
+    // time and published its snapshot (publish-before-completion), so the
+    // signals are post-barrier. Barrier merges are serialized by the fanout
+    // countdown, making the grant/reclaim trace deterministic; the lock only
+    // fences concurrent migration completions.
+    std::lock_guard<std::mutex> lock(broker_mu_);
+    broker_.Evaluate(merged.GetDouble("time", 0.0), CollectSignals());
+    merged.Set("loans",
+               JsonValue::MakeNumber(
+                   static_cast<double>(broker_.ledger().loans.size())));
+  }
   return merged;
+}
+
+Status ShardRouter::SaveContainer(const std::string& path,
+                                  std::uint64_t submit_seq,
+                                  std::vector<std::string> images) const {
+  if (!federated()) {
+    MultiSnapshot multi;
+    multi.submit_seq = submit_seq;
+    multi.shard_images = std::move(images);
+    return SaveMultiSnapshot(multi, path);
+  }
+  FedSnapshot fed;
+  fed.submit_seq = submit_seq;
+  for (int c = 0; c < cluster_count(); ++c) {
+    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
+    // Per-cluster images carry no routing counter of their own; the
+    // federation counter above covers every cluster.
+    MultiSnapshot multi;
+    for (const std::uint32_t e :
+         cluster_engines_[static_cast<std::size_t>(c)]) {
+      multi.shard_images.push_back(std::move(images[e]));
+    }
+    FedClusterImage cluster;
+    cluster.name = spec.name;
+    cluster.kind = static_cast<std::uint8_t>(spec.kind);
+    cluster.loan_priority = spec.loan_priority;
+    cluster.shards = static_cast<std::uint32_t>(spec.shards);
+    cluster.image = EncodeMultiSnapshot(multi);
+    fed.clusters.push_back(std::move(cluster));
+  }
+  {
+    std::lock_guard<std::mutex> lock(broker_mu_);
+    fed.ledger = broker_.ledger();
+  }
+  return SaveFedSnapshot(fed, path);
 }
 
 JsonValue ShardRouter::ReadReply(const JsonValue& request) const {
@@ -385,8 +765,11 @@ JsonValue ShardRouter::ReadReply(const JsonValue& request) const {
   if (cmd == "trace_dump") {
     return MergedTraceDump(request);
   }
-  // Unknown commands: the front shard produces the standard error reply
-  // (and counts it).
+  if (cmd == "federation_stats" && federated()) {
+    return FederationStats(request);
+  }
+  // Unknown commands (and federation_stats outside a federation): the
+  // front engine produces the standard error reply (and counts it).
   return front()->ReadReply(request);
 }
 
@@ -423,6 +806,14 @@ JsonValue ShardRouter::MergedClusterStats(const JsonValue& request) const {
   }
   front()->CountRead();
   EchoSeq(request, merged);
+  if (federated()) {
+    const FedLedger ledger = LedgerCopy();
+    JsonValue clusters = JsonValue::MakeArray();
+    for (int c = 0; c < cluster_count(); ++c) {
+      clusters.Append(ClusterInfo(c, ledger));
+    }
+    merged.Set("federation", std::move(clusters));
+  }
   return merged;
 }
 
@@ -540,7 +931,81 @@ JsonValue ShardRouter::MergedStatsProm(const JsonValue& request) const {
   return reply;
 }
 
-std::string ShardRouter::RenderPromText() const { return RenderPrometheus(*this); }
+std::string ShardRouter::RenderPromText() const {
+  std::string text = RenderPrometheus(*this);
+  if (!federated()) {
+    return text;
+  }
+  const FedLedger ledger = LedgerCopy();
+  std::vector<ClusterTally> tallies;
+  for (int c = 0; c < cluster_count(); ++c) {
+    tallies.push_back(TallyCluster(c));
+  }
+  char buf[64];
+  const auto num = [&buf](double v) {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  const auto label = [this](int c) {
+    return "{cluster=\"" + clusters_[static_cast<std::size_t>(c)].name + "\"";
+  };
+
+  text += "# HELP lyra_fed_clusters Clusters in the federation.\n";
+  text += "# TYPE lyra_fed_clusters gauge\n";
+  text += "lyra_fed_clusters " + num(cluster_count()) + "\n";
+  text += "# HELP lyra_fed_cluster_info Cluster identity (value is always 1).\n";
+  text += "# TYPE lyra_fed_cluster_info gauge\n";
+  for (int c = 0; c < cluster_count(); ++c) {
+    text += "lyra_fed_cluster_info" + label(c) + ",kind=\"" +
+            ClusterKindName(clusters_[static_cast<std::size_t>(c)].kind) +
+            "\"} 1\n";
+  }
+  text += "# HELP lyra_fed_jobs Jobs by cluster and state.\n";
+  text += "# TYPE lyra_fed_jobs gauge\n";
+  for (int c = 0; c < cluster_count(); ++c) {
+    for (std::size_t s = 0; s < tallies[c].states.size(); ++s) {
+      text += "lyra_fed_jobs" + label(c) + ",state=\"" + kJobStates[s] +
+              "\"} " + num(static_cast<double>(tallies[c].states[s])) + "\n";
+    }
+  }
+  text += "# HELP lyra_fed_gpus GPUs by cluster and pool counter.\n";
+  text += "# TYPE lyra_fed_gpus gauge\n";
+  for (int c = 0; c < cluster_count(); ++c) {
+    text += "lyra_fed_gpus" + label(c) + ",pool=\"total\"} " +
+            num(tallies[c].pool.total_gpus) + "\n";
+    text += "lyra_fed_gpus" + label(c) + ",pool=\"free\"} " +
+            num(tallies[c].pool.free_gpus) + "\n";
+  }
+  text += "# HELP lyra_fed_gpus_loaned GPUs currently lent out, by lender.\n";
+  text += "# TYPE lyra_fed_gpus_loaned gauge\n";
+  text +=
+      "# HELP lyra_fed_gpus_borrowed GPUs currently borrowed, by borrower.\n";
+  text += "# TYPE lyra_fed_gpus_borrowed gauge\n";
+  for (int c = 0; c < cluster_count(); ++c) {
+    const auto cluster = static_cast<std::uint32_t>(c);
+    text += "lyra_fed_gpus_loaned" + label(c) + "} " +
+            num(static_cast<double>(LoanedBy(ledger, cluster))) + "\n";
+    text += "lyra_fed_gpus_borrowed" + label(c) + "} " +
+            num(static_cast<double>(BorrowedBy(ledger, cluster))) + "\n";
+  }
+  text += "# HELP lyra_fed_loans_active Outstanding cross-cluster loans.\n";
+  text += "# TYPE lyra_fed_loans_active gauge\n";
+  text += "lyra_fed_loans_active " +
+          num(static_cast<double>(ledger.loans.size())) + "\n";
+  text += "# HELP lyra_fed_loans_granted_total GPUs ever granted.\n";
+  text += "# TYPE lyra_fed_loans_granted_total counter\n";
+  text += "lyra_fed_loans_granted_total " +
+          num(static_cast<double>(ledger.total_granted)) + "\n";
+  text += "# HELP lyra_fed_loans_reclaimed_total GPUs ever reclaimed.\n";
+  text += "# TYPE lyra_fed_loans_reclaimed_total counter\n";
+  text += "lyra_fed_loans_reclaimed_total " +
+          num(static_cast<double>(ledger.total_reclaimed)) + "\n";
+  text += "# HELP lyra_fed_loans_returned_total GPUs ever returned.\n";
+  text += "# TYPE lyra_fed_loans_returned_total counter\n";
+  text += "lyra_fed_loans_returned_total " +
+          num(static_cast<double>(ledger.total_returned)) + "\n";
+  return text;
+}
 
 JsonValue ShardRouter::MergedTraceDump(const JsonValue& request) const {
   const std::string path = request.GetString("path");
@@ -549,9 +1014,8 @@ JsonValue ShardRouter::MergedTraceDump(const JsonValue& request) const {
   }
   double spans = 0.0;
   for (int k = 0; k < shard_count(); ++k) {
-    const std::string shard_path = k == 0 ? path : ShardSuffixPath(path, k);
     const StatusOr<std::size_t> dumped =
-        shards_[k]->DumpFlightRecorder(shard_path);
+        shards_[k]->DumpFlightRecorder(EnginePath(path, k));
     if (!dumped.ok()) {
       front()->CountProtocolError();
       JsonValue reply = StatusReply(dumped.status());
@@ -567,6 +1031,185 @@ JsonValue ShardRouter::MergedTraceDump(const JsonValue& request) const {
   front()->CountRead();
   EchoSeq(request, reply);
   return reply;
+}
+
+ShardRouter::ClusterTally ShardRouter::TallyCluster(int c) const {
+  const bool inference =
+      clusters_[static_cast<std::size_t>(c)].kind == ClusterKind::kInference;
+  ClusterTally tally;
+  for (const std::uint32_t e : cluster_engines_[static_cast<std::size_t>(c)]) {
+    const std::shared_ptr<const StateSnapshot> snap = shards_[e]->snapshot();
+    if (snap == nullptr) {
+      continue;
+    }
+    for (std::size_t s = 0; s < tally.states.size(); ++s) {
+      tally.states[s] += snap->state_counts[s];
+    }
+    const PoolCounters& from = inference ? snap->inference : snap->training;
+    tally.pool.servers += from.servers;
+    tally.pool.total_gpus += from.total_gpus;
+    tally.pool.used_gpus += from.used_gpus;
+    tally.pool.free_gpus += from.free_gpus;
+  }
+  return tally;
+}
+
+std::vector<LoanBroker::ClusterSignal> ShardRouter::CollectSignals() const {
+  std::vector<LoanBroker::ClusterSignal> signals;
+  signals.reserve(clusters_.size());
+  for (int c = 0; c < cluster_count(); ++c) {
+    const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
+    const ClusterTally tally = TallyCluster(c);
+    LoanBroker::ClusterSignal signal;
+    signal.kind = spec.kind;
+    signal.loan_priority = spec.loan_priority;
+    signal.total_gpus = tally.pool.total_gpus;
+    signal.free_gpus = tally.pool.free_gpus;
+    if (spec.kind == ClusterKind::kTraining) {
+      signal.pending_jobs = static_cast<std::int64_t>(tally.states[0]);
+    }
+    signals.push_back(signal);
+  }
+  return signals;
+}
+
+double ShardRouter::MaxEngineTime() const {
+  double time = 0.0;
+  for (const SchedulerService* shard : shards_) {
+    const std::shared_ptr<const StateSnapshot> snap = shard->snapshot();
+    if (snap != nullptr) {
+      time = std::max(time, snap->time);
+    }
+  }
+  return time;
+}
+
+JsonValue ShardRouter::ClusterInfo(int c, const FedLedger& ledger) const {
+  const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
+  const ClusterTally tally = TallyCluster(c);
+  JsonValue info = JsonValue::MakeObject();
+  info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
+  info.Set("name", JsonValue::MakeString(spec.name));
+  info.Set("kind", JsonValue::MakeString(ClusterKindName(spec.kind)));
+  info.Set("loan_priority",
+           JsonValue::MakeNumber(static_cast<double>(spec.loan_priority)));
+  info.Set("shards", JsonValue::MakeNumber(static_cast<double>(spec.shards)));
+  info.Set("first_engine", JsonValue::MakeNumber(static_cast<double>(
+                               cluster_first_engine(c))));
+  JsonValue jobs = JsonValue::MakeObject();
+  for (std::size_t s = 0; s < tally.states.size(); ++s) {
+    jobs.Set(kJobStates[s],
+             JsonValue::MakeNumber(static_cast<double>(tally.states[s])));
+  }
+  info.Set("jobs", std::move(jobs));
+  JsonValue gpus = JsonValue::MakeObject();
+  gpus.Set("total",
+           JsonValue::MakeNumber(static_cast<double>(tally.pool.total_gpus)));
+  gpus.Set("used",
+           JsonValue::MakeNumber(static_cast<double>(tally.pool.used_gpus)));
+  gpus.Set("free",
+           JsonValue::MakeNumber(static_cast<double>(tally.pool.free_gpus)));
+  info.Set("gpus", std::move(gpus));
+  const auto cluster = static_cast<std::uint32_t>(c);
+  info.Set("loaned", JsonValue::MakeNumber(
+                         static_cast<double>(LoanedBy(ledger, cluster))));
+  info.Set("borrowed", JsonValue::MakeNumber(
+                           static_cast<double>(BorrowedBy(ledger, cluster))));
+  return info;
+}
+
+JsonValue ShardRouter::FederationStats(const JsonValue& request) const {
+  for (int k = 0; k < shard_count(); ++k) {
+    if (shard(k)->snapshot() == nullptr || shard(k)->stopped()) {
+      JsonValue reply = ErrorReply("unavailable", "service is stopped");
+      EchoSeq(request, reply);
+      return reply;
+    }
+  }
+  FedLedger ledger;
+  std::vector<std::string> events;
+  {
+    std::lock_guard<std::mutex> lock(broker_mu_);
+    ledger = broker_.ledger();
+    events = broker_.events();
+  }
+
+  JsonValue reply = OkReply();
+  reply.Set("time", JsonValue::MakeNumber(MaxEngineTime()));
+  reply.Set("submit_seq",
+            JsonValue::MakeNumber(static_cast<double>(submit_seq())));
+  reply.Set("shards",
+            JsonValue::MakeNumber(static_cast<double>(shard_count())));
+  JsonValue clusters = JsonValue::MakeArray();
+  for (int c = 0; c < cluster_count(); ++c) {
+    clusters.Append(ClusterInfo(c, ledger));
+  }
+  reply.Set("clusters", std::move(clusters));
+
+  JsonValue broker = JsonValue::MakeObject();
+  broker.Set("active",
+             JsonValue::MakeNumber(static_cast<double>(ledger.loans.size())));
+  broker.Set("next_loan_id",
+             JsonValue::MakeNumber(static_cast<double>(ledger.next_loan_id)));
+  broker.Set("granted",
+             JsonValue::MakeNumber(static_cast<double>(ledger.total_granted)));
+  broker.Set("reclaimed", JsonValue::MakeNumber(
+                              static_cast<double>(ledger.total_reclaimed)));
+  broker.Set("returned", JsonValue::MakeNumber(
+                             static_cast<double>(ledger.total_returned)));
+  // Hex string: the hash is a full u64 and would lose bits as a double.
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(ledger.ledger_hash));
+  broker.Set("ledger_hash", JsonValue::MakeString(hex));
+  JsonValue loans = JsonValue::MakeArray();
+  for (const FedLoan& loan : ledger.loans) {
+    JsonValue entry = JsonValue::MakeObject();
+    entry.Set("id", JsonValue::MakeNumber(static_cast<double>(loan.id)));
+    entry.Set("lender",
+              JsonValue::MakeNumber(static_cast<double>(loan.lender)));
+    entry.Set("borrower",
+              JsonValue::MakeNumber(static_cast<double>(loan.borrower)));
+    entry.Set("gpus", JsonValue::MakeNumber(static_cast<double>(loan.gpus)));
+    entry.Set("granted_at", JsonValue::MakeNumber(loan.granted_at));
+    loans.Append(std::move(entry));
+  }
+  broker.Set("loans", std::move(loans));
+  JsonValue recent = JsonValue::MakeArray();
+  for (const std::string& event : events) {
+    recent.Append(JsonValue::MakeString(event));
+  }
+  broker.Set("events", std::move(recent));
+  reply.Set("broker", std::move(broker));
+
+  front()->CountRead();
+  EchoSeq(request, reply);
+  return reply;
+}
+
+Status ShardRouter::ConfigureLoanPredictor(const std::string& name) {
+  std::lock_guard<std::mutex> lock(broker_mu_);
+  return broker_.ConfigurePredictor(name);
+}
+
+FedLedger ShardRouter::LedgerCopy() const {
+  std::lock_guard<std::mutex> lock(broker_mu_);
+  return broker_.ledger();
+}
+
+std::vector<std::string> ShardRouter::RecentEvents() const {
+  std::lock_guard<std::mutex> lock(broker_mu_);
+  return broker_.events();
+}
+
+void ShardRouter::RestoreLedger(const FedLedger& ledger) {
+  std::lock_guard<std::mutex> lock(broker_mu_);
+  broker_.RestoreLedger(ledger);
+}
+
+void ShardRouter::ReconcileBroker() {
+  std::lock_guard<std::mutex> lock(broker_mu_);
+  broker_.Reconcile(MaxEngineTime(), clusters_.size());
 }
 
 JsonValue ShardRouter::Execute(const JsonValue& request) {
@@ -623,23 +1266,50 @@ SchedulerService::Stats ShardRouter::AggregateStats() const {
   return total;
 }
 
+namespace {
+
+// Wires the router over `set.services`; a federation also gets the
+// configured loan predictor.
+Status AttachRouter(ShardSet& set, std::vector<ClusterSpec> clusters,
+                    const ServiceOptions& base) {
+  std::vector<SchedulerService*> pointers;
+  pointers.reserve(set.services.size());
+  for (const auto& service : set.services) {
+    pointers.push_back(service.get());
+  }
+  set.router =
+      std::make_unique<ShardRouter>(std::move(pointers), std::move(clusters));
+  if (set.router->cluster_count() > 1 && !base.loan_predictor.empty()) {
+    return set.router->ConfigureLoanPredictor(base.loan_predictor);
+  }
+  return Status::Ok();
+}
+
+ServiceOptions EngineOptions(const ServiceOptions& base, int engine) {
+  ServiceOptions options = base;
+  options.trace_path = ShardRouter::EnginePath(base.trace_path, engine);
+  return options;
+}
+
+}  // namespace
+
 StatusOr<ShardSet> BuildShardSet(
-    const ServiceOptions& base, int shards,
+    const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  if (shards < 1 || shards > kMaxEngines) {
-    return Status::InvalidArgument("shard count must be in [1, " +
-                                   std::to_string(kMaxEngines) + "], got " +
-                                   std::to_string(shards));
+  const Status valid = ValidateClusters(clusters);
+  if (!valid.ok()) {
+    return valid;
+  }
+  int engines = 0;
+  for (const ClusterSpec& cluster : clusters) {
+    engines += cluster.shards;
   }
   ShardSet set;
-  for (int k = 0; k < shards; ++k) {
-    ServiceOptions options = base;
+  for (int k = 0; k < engines; ++k) {
+    ServiceOptions options = EngineOptions(base, k);
     // Independent deterministic streams per shard; shard 0 keeps the base
     // seed so a one-shard fleet is the unsharded service exactly.
     options.engine.seed = base.engine.seed + static_cast<std::uint64_t>(k);
-    if (!base.trace_path.empty() && k > 0) {
-      options.trace_path = ShardSuffixPath(base.trace_path, k);
-    }
     auto service = std::make_unique<SchedulerService>(std::move(options),
                                                       make_driver(k));
     const Status started = service->Start();
@@ -648,49 +1318,100 @@ StatusOr<ShardSet> BuildShardSet(
     }
     set.services.push_back(std::move(service));
   }
-  std::vector<SchedulerService*> pointers;
-  pointers.reserve(set.services.size());
-  for (const auto& service : set.services) {
-    pointers.push_back(service.get());
+  const Status attached = AttachRouter(set, clusters, base);
+  if (!attached.ok()) {
+    return attached;
   }
-  set.router = std::make_unique<ShardRouter>(std::move(pointers));
   return set;
 }
 
 StatusOr<ShardSet> RestoreShardSet(
     const ServiceOptions& base, const std::string& snapshot_path,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver) {
-  StatusOr<MultiSnapshot> loaded = LoadMultiSnapshot(snapshot_path);
-  if (!loaded.ok()) {
-    return loaded.status();
+  StatusOr<std::string> bytes = ReadFile(snapshot_path);
+  if (!bytes.ok()) {
+    return bytes.status();
   }
-  const MultiSnapshot& multi = loaded.value();
-  ShardSet set;
-  for (std::size_t k = 0; k < multi.shard_images.size(); ++k) {
-    ServiceOptions options = base;
-    if (!base.trace_path.empty() && k > 0) {
-      options.trace_path =
-          ShardSuffixPath(base.trace_path, static_cast<int>(k));
+  // The envelope magic picks the layout. LYRAFED_ nests one LYRASNAP or
+  // LYRASHRD image per cluster plus the layout and broker ledger; anything
+  // else must be a one-cluster fleet's LYRASNAP or LYRASHRD file (the
+  // decoder rejects an unknown magic).
+  FedSnapshot fed;
+  std::vector<ClusterSpec> clusters;
+  std::vector<std::string> images;
+  if (bytes.value().compare(0, 8, "LYRAFED_") == 0) {
+    StatusOr<FedSnapshot> decoded =
+        DecodeFedSnapshot(bytes.value(), snapshot_path);
+    if (!decoded.ok()) {
+      return decoded.status();
     }
-    auto service = std::make_unique<SchedulerService>(std::move(options),
-                                                      make_driver(static_cast<int>(k)));
+    fed = std::move(decoded).value();
+    for (const FedClusterImage& cluster : fed.clusters) {
+      if (cluster.kind > 1) {
+        return Status::DataLoss("bad cluster kind in " + snapshot_path);
+      }
+      StatusOr<MultiSnapshot> multi = DecodeMultiSnapshot(
+          cluster.image, snapshot_path + " (cluster " + cluster.name + ")");
+      if (!multi.ok()) {
+        return multi.status();
+      }
+      if (multi.value().shard_images.size() != cluster.shards) {
+        return Status::DataLoss(
+            "cluster " + cluster.name + " has " +
+            std::to_string(multi.value().shard_images.size()) +
+            " images for " + std::to_string(cluster.shards) + " shards in " +
+            snapshot_path);
+      }
+      for (std::string& image : multi.value().shard_images) {
+        images.push_back(std::move(image));
+      }
+      ClusterSpec spec;
+      spec.name = cluster.name;
+      spec.kind = static_cast<ClusterKind>(cluster.kind);
+      spec.shards = static_cast<int>(cluster.shards);
+      spec.loan_priority = static_cast<int>(cluster.loan_priority);
+      clusters.push_back(std::move(spec));
+    }
+  } else {
+    StatusOr<MultiSnapshot> multi =
+        DecodeMultiSnapshot(bytes.value(), snapshot_path);
+    if (!multi.ok()) {
+      return multi.status();
+    }
+    fed.submit_seq = multi.value().submit_seq;
+    images = std::move(multi.value().shard_images);
+    ClusterSpec fleet;
+    fleet.name = "train0";
+    fleet.shards = static_cast<int>(images.size());
+    clusters.push_back(std::move(fleet));
+  }
+
+  ShardSet set;
+  for (std::size_t k = 0; k < images.size(); ++k) {
+    const int engine = static_cast<int>(k);
+    auto service = std::make_unique<SchedulerService>(
+        EngineOptions(base, engine), make_driver(engine));
     const std::string origin =
-        multi.shard_images.size() == 1
+        images.size() == 1
             ? snapshot_path
             : snapshot_path + " (shard " + std::to_string(k) + ")";
-    const Status restored = service->RestoreBytes(multi.shard_images[k], origin);
+    const Status restored = service->RestoreBytes(images[k], origin);
     if (!restored.ok()) {
       return restored;
     }
     set.services.push_back(std::move(service));
   }
-  std::vector<SchedulerService*> pointers;
-  pointers.reserve(set.services.size());
-  for (const auto& service : set.services) {
-    pointers.push_back(service.get());
+  const Status attached = AttachRouter(set, std::move(clusters), base);
+  if (!attached.ok()) {
+    return attached;
   }
-  set.router = std::make_unique<ShardRouter>(std::move(pointers));
-  set.router->set_submit_seq(multi.submit_seq);
+  set.router->set_submit_seq(fed.submit_seq);
+  if (set.router->cluster_count() > 1) {
+    set.router->RestoreLedger(fed.ledger);
+    // A crash between a snapshot and a cluster-set change can persist loans
+    // against clusters that no longer exist; drop them before serving.
+    set.router->ReconcileBroker();
+  }
   return set;
 }
 

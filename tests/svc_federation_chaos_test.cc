@@ -61,16 +61,16 @@ std::unique_ptr<TimeDriver> MakeVirtualDriver(int /*shard*/) {
   return std::make_unique<VirtualTimeDriver>();
 }
 
-FederationSet BuildChaosFed() {
+ShardSet BuildChaosFed() {
   StatusOr<std::vector<ClusterSpec>> clusters = ParseFederationSpec("2x2");
   EXPECT_TRUE(clusters.ok());
-  StatusOr<FederationSet> built =
-      BuildFederation(ChaosOptions(), clusters.value(), MakeVirtualDriver);
+  StatusOr<ShardSet> built =
+      BuildShardSet(ChaosOptions(), clusters.value(), MakeVirtualDriver);
   EXPECT_TRUE(built.ok()) << built.status().message();
   return std::move(built.value());
 }
 
-void StopFed(FederationSet& fed) {
+void StopFed(ShardSet& fed) {
   for (auto& service : fed.services) {
     service->Stop();
   }
@@ -225,7 +225,7 @@ struct ChaosOutcome {
   std::size_t loans_at_cut = 0;
 };
 
-void Collect(const FederationSet& fed, ChaosOutcome& outcome) {
+void Collect(const ShardSet& fed, ChaosOutcome& outcome) {
   for (const auto& service : fed.services) {
     outcome.decisions.push_back(service->simulator().decision_log().records());
     const FaultInjector* faults = service->simulator().fault_injector();
@@ -235,7 +235,7 @@ void Collect(const FederationSet& fed, ChaosOutcome& outcome) {
   outcome.ledger = fed.router->LedgerCopy();
 }
 
-void ApplySlice(FederationRouter& router, const ChaosScript& script,
+void ApplySlice(ShardRouter& router, const ChaosScript& script,
                 std::size_t begin, std::size_t end, const char* label) {
   for (std::size_t i = begin; i < end; ++i) {
     const JsonValue reply = router.Execute(script.commands[i]);
@@ -254,7 +254,7 @@ void ApplySlice(FederationRouter& router, const ChaosScript& script,
 // the "kill". Returns the broker state observed at the cut.
 ChaosOutcome RunUntilKill(const ChaosScript& script, int cut,
                           const std::string& path) {
-  FederationSet fed = BuildChaosFed();
+  ShardSet fed = BuildChaosFed();
   ChaosOutcome outcome;
   ApplySlice(*fed.router, script, 0, static_cast<std::size_t>(cut), "prefix");
   outcome.loans_at_cut = fed.router->LedgerCopy().loans.size();
@@ -275,14 +275,14 @@ ChaosOutcome ResumeAfterKill(const ChaosScript& script, int cut,
   ServiceOptions base = ChaosOptions();
   base.engine.seed = 1;
   base.engine.faults = false;
-  StatusOr<FederationSet> restored =
-      RestoreFederation(base, path, MakeVirtualDriver);
+  StatusOr<ShardSet> restored =
+      RestoreShardSet(base, path, MakeVirtualDriver);
   ChaosOutcome outcome;
   EXPECT_TRUE(restored.ok()) << restored.status().message();
   if (!restored.ok()) {
     return outcome;
   }
-  FederationSet fed = std::move(restored.value());
+  ShardSet fed = std::move(restored.value());
   EXPECT_EQ(fed.router->cluster_count(), 4);
   EXPECT_EQ(fed.router->shard_count(), kEngines);
   ApplySlice(*fed.router, script, static_cast<std::size_t>(cut),
@@ -303,7 +303,7 @@ TEST(FederationChaos, RandomKillAndWarmRestartReplaysByteForByte) {
   const ChaosScript script = MakeChaosScript(ops);
   const int n = static_cast<int>(script.commands.size());
 
-  FederationSet fed = BuildChaosFed();
+  ShardSet fed = BuildChaosFed();
   ChaosOutcome baseline;
   ApplySlice(*fed.router, script, 0, static_cast<std::size_t>(n), "baseline");
   StopFed(fed);
@@ -358,7 +358,7 @@ TEST(FederationChaos, RandomKillAndWarmRestartReplaysByteForByte) {
 // snapshot is restored into a reshaped federation; restore-time
 // reconciliation must drop exactly those loans and keep the rest.
 TEST(FederationChaos, RestoreReconciliationDropsOrphanedLoans) {
-  FederationSet fed = BuildChaosFed();
+  ShardSet fed = BuildChaosFed();
   FedLedger forged = fed.router->LedgerCopy();
   FedLoan good;
   good.id = 1;

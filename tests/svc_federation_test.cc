@@ -28,6 +28,7 @@
 
 #include "src/svc/event_loop.h"
 #include "src/svc/federation.h"
+#include "src/svc/prom.h"
 #include "src/svc/service.h"
 #include "src/svc/shard_router.h"
 #include "src/svc/snapshot.h"
@@ -52,6 +53,11 @@ std::string ReadFileBytes(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+// True when the file at `path` starts with the LYRAFED container magic.
+bool IsFedSnapshotFile(const std::string& path) {
+  return ReadFileBytes(path).substr(0, 8) == "LYRAFED_";
 }
 
 JsonValue Cmd(const char* cmd) {
@@ -111,16 +117,16 @@ std::unique_ptr<TimeDriver> MakeVirtualDriver(int /*shard*/) {
   return std::make_unique<VirtualTimeDriver>();
 }
 
-FederationSet BuildFed(const std::string& spec) {
+ShardSet BuildFed(const std::string& spec) {
   StatusOr<std::vector<ClusterSpec>> clusters = ParseFederationSpec(spec);
   EXPECT_TRUE(clusters.ok()) << clusters.status().message();
-  StatusOr<FederationSet> built =
-      BuildFederation(BaseOptions(), clusters.value(), MakeVirtualDriver);
+  StatusOr<ShardSet> built =
+      BuildShardSet(BaseOptions(), clusters.value(), MakeVirtualDriver);
   EXPECT_TRUE(built.ok()) << built.status().message();
   return std::move(built.value());
 }
 
-void StopFed(FederationSet& fed) {
+void StopFed(ShardSet& fed) {
   for (auto& service : fed.services) {
     service->Stop();
   }
@@ -182,8 +188,8 @@ TEST(Federation, SpecParsingCompactAndExplicitForms) {
 
 TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
   for (const char* spec : {"1x1", "2x1@2", "1x2@3", "2x2@2"}) {
-    FederationSet fed = BuildFed(spec);
-    FederationRouter& router = *fed.router;
+    ShardSet fed = BuildFed(spec);
+    ShardRouter& router = *fed.router;
     const int engines = router.shard_count();
     // Every engine belongs to exactly one cluster, clusters own contiguous
     // ranges in spec order, and the id arithmetic round-trips through the
@@ -216,7 +222,7 @@ TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
 // mirror — cluster routing is a pure function of (cluster, key | sequence),
 // never of timing.
 TEST(Federation, RoutingIsDeterministicUnderPipelining) {
-  FederationSet fed = BuildFed("1x1@2");  // inf0={0,1}, train0={2,3}
+  ShardSet fed = BuildFed("1x1@2");  // inf0={0,1}, train0={2,3}
   EventLoopOptions loop_options;
   loop_options.unix_path =
       "/tmp/lyra_fed_route_" + std::to_string(::getpid()) + ".sock";
@@ -304,8 +310,8 @@ TEST(Federation, RoutingIsDeterministicUnderPipelining) {
 }
 
 TEST(Federation, InvalidTargetsAreRejectedInline) {
-  FederationSet fed = BuildFed("1x1");
-  FederationRouter& router = *fed.router;
+  ShardSet fed = BuildFed("1x1");
+  ShardRouter& router = *fed.router;
 
   JsonValue unknown = Submit(0.0, 3600.0);
   unknown.Set("cluster", JsonValue::MakeString("nope"));
@@ -339,8 +345,8 @@ TEST(Federation, InvalidTargetsAreRejectedInline) {
 // inference clusters to training clusters, and every decision moves the
 // rolling ledger hash.
 TEST(Federation, LoanLedgerInvariantsUnderGrantAndReturn) {
-  FederationSet fed = BuildFed("2x2");
-  FederationRouter& router = *fed.router;
+  ShardSet fed = BuildFed("2x2");
+  ShardRouter& router = *fed.router;
   ASSERT_EQ(router.cluster_count(), 4);
 
   // 30 unplaceable training jobs on train0 -> demand 30 at the barrier.
@@ -412,6 +418,77 @@ TEST(Federation, LoanLedgerInvariantsUnderGrantAndReturn) {
   StopFed(fed);
 }
 
+// The lyra_fed_* exposition and federation_stats are two renderings of one
+// per-cluster tally: after a loan grant on a 2x2 federation, every fed gauge
+// in stats_prom equals the federation_stats number it mirrors.
+TEST(Federation, FedExpositionMatchesFederationStats) {
+  ShardSet fed = BuildFed("2x2");
+  ShardRouter& router = *fed.router;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(router.Execute(SubmitTo("train0", 0.0, 999999.0, 64, 100, 100))
+                    .GetBool("ok"));
+  }
+  ASSERT_TRUE(router.Execute(Advance(100.0)).GetBool("ok"));
+
+  const JsonValue stats = router.Execute(Cmd("federation_stats"));
+  ASSERT_TRUE(stats.GetBool("ok")) << stats.Dump();
+  const JsonValue prom = router.Execute(Cmd("stats_prom"));
+  ASSERT_TRUE(prom.GetBool("ok")) << prom.Dump();
+  StatusOr<PromScrape> scrape = ParsePrometheus(prom.GetString("text"));
+  ASSERT_TRUE(scrape.ok()) << scrape.status().message();
+  const PromScrape& text = scrape.value();
+
+  const JsonValue* clusters = stats.Find("clusters");
+  ASSERT_NE(clusters, nullptr);
+  EXPECT_EQ(text.Value("lyra_fed_clusters", {}, -1.0),
+            static_cast<double>(clusters->AsArray().size()));
+  double loaned_total = 0.0;
+  for (const JsonValue& info : clusters->AsArray()) {
+    const std::string name = info.GetString("name");
+    EXPECT_EQ(text.Value("lyra_fed_cluster_info",
+                         {{"cluster", name}, {"kind", info.GetString("kind")}},
+                         -1.0),
+              1.0)
+        << name;
+    const JsonValue* jobs = info.Find("jobs");
+    ASSERT_NE(jobs, nullptr);
+    for (const char* state : {"pending", "running", "finished", "cancelled"}) {
+      EXPECT_EQ(text.Value("lyra_fed_jobs",
+                           {{"cluster", name}, {"state", state}}, -1.0),
+                jobs->GetDouble(state, -2.0))
+          << name << " " << state;
+    }
+    const JsonValue* gpus = info.Find("gpus");
+    ASSERT_NE(gpus, nullptr);
+    for (const char* pool : {"total", "free"}) {
+      EXPECT_EQ(text.Value("lyra_fed_gpus",
+                           {{"cluster", name}, {"pool", pool}}, -1.0),
+                gpus->GetDouble(pool, -2.0))
+          << name << " " << pool;
+    }
+    EXPECT_EQ(text.Value("lyra_fed_gpus_loaned", {{"cluster", name}}, -1.0),
+              info.GetDouble("loaned", -2.0))
+        << name;
+    EXPECT_EQ(text.Value("lyra_fed_gpus_borrowed", {{"cluster", name}}, -1.0),
+              info.GetDouble("borrowed", -2.0))
+        << name;
+    loaned_total += info.GetDouble("loaned", 0.0);
+  }
+  EXPECT_GT(loaned_total, 0.0) << "the script must grant a loan";
+
+  const JsonValue* broker = stats.Find("broker");
+  ASSERT_NE(broker, nullptr);
+  EXPECT_EQ(text.Value("lyra_fed_loans_active", {}, -1.0),
+            broker->GetDouble("active", -2.0));
+  EXPECT_EQ(text.Value("lyra_fed_loans_granted_total", {}, -1.0),
+            broker->GetDouble("granted", -2.0));
+  EXPECT_EQ(text.Value("lyra_fed_loans_reclaimed_total", {}, -1.0),
+            broker->GetDouble("reclaimed", -2.0));
+  EXPECT_EQ(text.Value("lyra_fed_loans_returned_total", {}, -1.0),
+            broker->GetDouble("returned", -2.0));
+  StopFed(fed);
+}
+
 // The optional loan predictor (--loan-predictor): off by default with
 // byte-identical broker behaviour, grant sizing follows the per-borrower
 // prediction when on, and unknown names are rejected with the registered
@@ -472,8 +549,8 @@ TEST(Federation, LoanPredictorSizesGrantsAndOffIsByteIdentical) {
 // cost (60s GPU-time when checkpointing, 300s cold otherwise), and the move
 // is recorded in the broker ledger. Invalid moves answer inline.
 TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
-  FederationSet fed = BuildFed("1x2");  // inf0, train0, train1
-  FederationRouter& router = *fed.router;
+  ShardSet fed = BuildFed("1x2");  // inf0, train0, train1
+  ShardRouter& router = *fed.router;
 
   JsonValue submit = SubmitTo("train0", 0.0, 7200.0, 1, 1, 1);
   submit.Set("checkpointing", JsonValue::MakeBool(true));
@@ -538,8 +615,8 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
 // The compatibility contract: a federation of exactly one training cluster
 // with one engine answers every plain command byte-for-byte like the
 // unsharded SchedulerService, and its snapshot file is the identical
-// LYRASNAP image. federation_stats and lyra_fed_* metrics are the only
-// additive surface.
+// LYRASNAP image. A one-cluster spec is a shard fleet, so there is no
+// additive surface: no federation_stats, no lyra_fed_* metrics.
 TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   const auto script = [](double snapshot_at) {
     std::vector<JsonValue> commands;
@@ -556,7 +633,7 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
 
   SchedulerService plain(BaseOptions(), MakeVirtualDriver(0));
   ASSERT_TRUE(plain.Start().ok());
-  FederationSet fed = BuildFed("solo:train");
+  ShardSet fed = BuildFed("solo:train");
   ASSERT_EQ(fed.router->shard_count(), 1);
 
   const std::string plain_snap = TempPath("plain");
@@ -585,14 +662,101 @@ TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   StopFed(fed);
 }
 
+// A one-cluster spec is a shard fleet at any engine count: "cluster" and
+// "kind" are not interpreted, barrier replies carry no "loans", there is no
+// federation_stats, federation array or lyra_fed_* family, the snapshot is
+// the shard container (LYRASHRD at 3 engines, routing counter included),
+// and migrate is rejected inline — at 3 engines and at 1.
+TEST(Federation, OneClusterSpecIsAShardFleet) {
+  ShardSet fed = BuildFed("solo:train:3");
+  ShardRouter& router = *fed.router;
+  ASSERT_EQ(router.shard_count(), 3);
+  for (int i = 0; i < 5; ++i) {
+    JsonValue submit = Submit(0.0, 36000.0);
+    submit.Set("cluster", JsonValue::MakeString("nope"));
+    submit.Set("kind", JsonValue::MakeString("quantum"));
+    const JsonValue reply = router.Execute(submit);
+    ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+  }
+  const JsonValue advanced = router.Execute(Advance(100.0));
+  ASSERT_TRUE(advanced.GetBool("ok")) << advanced.Dump();
+  EXPECT_EQ(advanced.Find("loans"), nullptr) << advanced.Dump();
+  const JsonValue stats = router.Execute(Cmd("cluster_stats"));
+  ASSERT_TRUE(stats.GetBool("ok")) << stats.Dump();
+  EXPECT_EQ(stats.Find("federation"), nullptr);
+  const JsonValue fed_stats = router.Execute(Cmd("federation_stats"));
+  EXPECT_FALSE(fed_stats.GetBool("ok"));
+  EXPECT_EQ(fed_stats.GetString("code"), "failed_precondition");
+  EXPECT_EQ(router.RenderPromText().find("lyra_fed_"), std::string::npos);
+
+  JsonValue migrate = router.Execute(Migrate(0, "solo"));
+  EXPECT_FALSE(migrate.GetBool("ok"));
+  EXPECT_EQ(migrate.GetString("code"), "failed_precondition");
+  EXPECT_EQ(migrate.GetString("error"),
+            "migration requires at least two clusters");
+
+  const std::string path = TempPath("one_cluster");
+  JsonValue snap = Cmd("snapshot");
+  snap.Set("path", JsonValue::MakeString(path));
+  const JsonValue written = router.Execute(snap);
+  ASSERT_TRUE(written.GetBool("ok")) << written.Dump();
+  EXPECT_EQ(written.Find("clusters"), nullptr);
+  EXPECT_EQ(ReadFileBytes(path).substr(0, 8), "LYRASHRD");
+  StatusOr<MultiSnapshot> loaded = LoadMultiSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().shard_images.size(), 3u);
+  EXPECT_EQ(loaded.value().submit_seq, 5u);
+  std::remove(path.c_str());
+  StopFed(fed);
+
+  ShardSet single = BuildFed("solo:train");
+  migrate = single.router->Execute(Migrate(0, "solo"));
+  EXPECT_FALSE(migrate.GetBool("ok"));
+  EXPECT_EQ(migrate.GetString("code"), "failed_precondition")
+      << "one engine must not forward migrate as an unknown command: "
+      << migrate.Dump();
+  StopFed(single);
+}
+
+// Engine k's per-engine files carry one suffix in every topology: its trace
+// stream and its trace_dump output both go to "<path>.shard<k>" for k > 0.
+TEST(Federation, EngineFilesUseTheShardSuffix) {
+  const std::string trace = TempPath("trace.json");
+  ServiceOptions options = BaseOptions();
+  options.trace_path = trace;
+  StatusOr<ShardSet> built = BuildShardSet(
+      options, ParseFederationSpec("1x1@2").value(), MakeVirtualDriver);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  ShardSet fed = std::move(built.value());
+  ASSERT_EQ(fed.router->shard_count(), 4);
+  EXPECT_EQ(fed.router->shard(0)->options().trace_path, trace);
+  for (int k = 1; k < 4; ++k) {
+    EXPECT_EQ(fed.router->shard(k)->options().trace_path,
+              trace + ".shard" + std::to_string(k));
+  }
+
+  const std::string dump = TempPath("dump.json");
+  JsonValue request = Cmd("trace_dump");
+  request.Set("path", JsonValue::MakeString(dump));
+  const JsonValue reply = fed.router->Execute(request);
+  ASSERT_TRUE(reply.GetBool("ok")) << reply.Dump();
+  StopFed(fed);
+  for (int k = 0; k < 4; ++k) {
+    const std::string suffix = k == 0 ? "" : ".shard" + std::to_string(k);
+    EXPECT_TRUE(std::ifstream(dump + suffix).good()) << dump + suffix;
+    std::remove((dump + suffix).c_str());
+    std::remove((trace + suffix).c_str());
+  }
+}
+
 // Golden-trace regression for the Lyra pair (1 inference + 1 training
 // cluster): a scripted demand spike grants a loan, the lender's own diurnal
 // load spike reclaims it, fresh capacity is re-granted, and cancelled demand
 // returns it. Every reply and every ledger event is diffed byte-for-byte
 // against tests/golden/federation_pair.golden.
 TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
-  FederationSet fed = BuildFed("1x1");
-  FederationRouter& router = *fed.router;
+  ShardSet fed = BuildFed("1x1");
+  ShardRouter& router = *fed.router;
 
   std::ostringstream trace;
   const auto run = [&](const JsonValue& command) {
@@ -673,8 +837,8 @@ TEST(Federation, PairLoanSemanticsMatchGoldenTrace) {
 // per-engine images, broker ledger, and routing counter all come back, and a
 // restored federation continues byte-identically (ledger hash chain intact).
 TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
-  FederationSet fed = BuildFed("edge:inf:1:5,bulk:train:2:1,spill:train");
-  FederationRouter& router = *fed.router;
+  ShardSet fed = BuildFed("edge:inf:1:5,bulk:train:2:1,spill:train");
+  ShardRouter& router = *fed.router;
   ASSERT_EQ(router.shard_count(), 4);
 
   for (int i = 0; i < 40; ++i) {
@@ -698,10 +862,10 @@ TEST(Federation, FedSnapshotRestoresLayoutLedgerAndCounter) {
   // Base options are deliberately wrong — the container's layout must win.
   ServiceOptions base = BaseOptions();
   base.engine.seed = 1;
-  StatusOr<FederationSet> restored =
-      RestoreFederation(base, path, MakeVirtualDriver);
+  StatusOr<ShardSet> restored =
+      RestoreShardSet(base, path, MakeVirtualDriver);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
-  FederationRouter& resumed = *restored.value().router;
+  ShardRouter& resumed = *restored.value().router;
   ASSERT_EQ(resumed.cluster_count(), 3);
   EXPECT_EQ(resumed.cluster_spec(0).name, "edge");
   EXPECT_EQ(resumed.cluster_spec(0).kind, ClusterKind::kInference);
@@ -784,8 +948,8 @@ TEST(Federation, FedSnapshotCorruptionIsDetected) {
   const StatusOr<FedSnapshot> over = LoadFedSnapshot(path);
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kDataLoss);
-  StatusOr<FederationSet> restored =
-      RestoreFederation(BaseOptions(), path, MakeVirtualDriver);
+  StatusOr<ShardSet> restored =
+      RestoreShardSet(BaseOptions(), path, MakeVirtualDriver);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());

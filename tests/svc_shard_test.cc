@@ -92,8 +92,13 @@ std::unique_ptr<TimeDriver> MakeVirtualDriver(int /*shard*/) {
   return std::make_unique<VirtualTimeDriver>();
 }
 
+// A shard fleet is one training cluster of `shards` engines.
+std::vector<ClusterSpec> OneCluster(int shards) {
+  return ParseFederationSpec("0x1@" + std::to_string(shards)).value();
+}
+
 ShardSet BuildFleet(int shards) {
-  StatusOr<ShardSet> built = BuildShardSet(FleetOptions(), shards,
+  StatusOr<ShardSet> built = BuildShardSet(FleetOptions(), OneCluster(shards),
                                            MakeVirtualDriver);
   EXPECT_TRUE(built.ok()) << built.status().message();
   return std::move(built.value());
@@ -544,6 +549,59 @@ TEST(Shard, RestoreRejectsMoreShardsThanTheEngineCap) {
   std::remove(path.c_str());
 }
 
+// RestoreShardSet picks the layout from the envelope magic: LYRASNAP and
+// LYRASHRD restore a one-cluster fleet, LYRAFED a federation, each with its
+// routing counter; an unknown magic is InvalidArgument and a missing file
+// NotFound.
+TEST(Shard, RestoreSniffsTheContainerMagic) {
+  struct Case {
+    const char* spec;
+    const char* magic;
+    int engines;
+    int clusters;
+    std::uint64_t submit_seq;  // one engine never consumes the counter
+  };
+  const std::string path = TempPath("sniff");
+  for (const Case& c : {Case{"0x1@1", "LYRASNAP", 1, 1, 0},
+                        Case{"0x1@3", "LYRASHRD", 3, 1, 4},
+                        Case{"1x1", "LYRAFED_", 2, 2, 4}}) {
+    StatusOr<ShardSet> built = BuildShardSet(
+        FleetOptions(), ParseFederationSpec(c.spec).value(), MakeVirtualDriver);
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    ShardSet fleet = std::move(built.value());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(fleet.router->Execute(Submit(0.0, 36000.0)).GetBool("ok"));
+    }
+    JsonValue snap = Cmd("snapshot");
+    snap.Set("path", JsonValue::MakeString(path));
+    ASSERT_TRUE(fleet.router->Execute(snap).GetBool("ok")) << c.spec;
+    StopFleet(fleet);
+    EXPECT_EQ(ReadFileBytes(path).substr(0, 8), c.magic) << c.spec;
+
+    StatusOr<ShardSet> restored =
+        RestoreShardSet(FleetOptions(), path, MakeVirtualDriver);
+    ASSERT_TRUE(restored.ok()) << c.spec << ": " << restored.status().message();
+    EXPECT_EQ(restored.value().router->shard_count(), c.engines) << c.spec;
+    EXPECT_EQ(restored.value().router->cluster_count(), c.clusters) << c.spec;
+    EXPECT_EQ(restored.value().router->submit_seq(), c.submit_seq) << c.spec;
+    StopFleet(restored.value());
+  }
+
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "LYRAXXXX" << std::string(64, '\0');
+  }
+  StatusOr<ShardSet> unknown =
+      RestoreShardSet(FleetOptions(), path, MakeVirtualDriver);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+  StatusOr<ShardSet> missing =
+      RestoreShardSet(FleetOptions(), path, MakeVirtualDriver);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 // Pipelined submits and reads over the sharded event loop: replies come back
 // in per-connection order even though consecutive frames fan out to
 // different engine shards, global ids never collide, and a read pipelined
@@ -557,7 +615,7 @@ TEST(Shard, PipelinedRepliesStayInOrderAcrossShards) {
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
   StatusOr<ShardSet> built =
-      BuildShardSet(options, kShards, MakeVirtualDriver);
+      BuildShardSet(options, OneCluster(kShards), MakeVirtualDriver);
   ASSERT_TRUE(built.ok()) << built.status().message();
   ShardSet fleet = std::move(built.value());
   EventLoop server(fleet.router.get(), loop_options);
@@ -641,7 +699,8 @@ TEST(Shard, PipelinedCancelImmediatelyAfterSubmitSameFrameBurst) {
       "/tmp/lyra_shard_cancel_" + std::to_string(::getpid()) + ".sock";
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
-  StatusOr<ShardSet> built = BuildShardSet(options, kShards, MakeVirtualDriver);
+  StatusOr<ShardSet> built =
+      BuildShardSet(options, OneCluster(kShards), MakeVirtualDriver);
   ASSERT_TRUE(built.ok()) << built.status().message();
   ShardSet fleet = std::move(built.value());
   EventLoop server(fleet.router.get(), loop_options);
@@ -709,7 +768,8 @@ TEST(Shard, SnapshotPipelinedBehindDrainWhileSubmitsRace) {
   loop_options.io_threads = 2;
   ServiceOptions options = FleetOptions();
   options.engine.faults = false;
-  StatusOr<ShardSet> built = BuildShardSet(options, kShards, MakeVirtualDriver);
+  StatusOr<ShardSet> built =
+      BuildShardSet(options, OneCluster(kShards), MakeVirtualDriver);
   ASSERT_TRUE(built.ok()) << built.status().message();
   ShardSet fleet = std::move(built.value());
   EventLoop server(fleet.router.get(), loop_options);

@@ -9,17 +9,19 @@
 // from a snapshot taken with `lyra_ctl snapshot` (or the snapshot command),
 // replaying the persisted command log into a bit-identical engine.
 //
-// --shards=N runs N independent single-writer engines behind the one front
-// end (DESIGN.md §10): submits spread by key hash, job ids carry their owning
-// shard, snapshot/restore round-trips the whole fleet byte-identically.
-//
-// --federation=<spec> runs a multi-cluster federation instead (DESIGN.md
-// §11): "2x2" is 2 inference + 2 training clusters, "2x2@4" gives each 4
-// engine shards, and "name:kind[:shards[:prio]],..." spells the clusters
-// out. Submits route by "cluster"/"kind", a loan broker moves idle inference
-// capacity to pending training demand at every advance/drain barrier, and
-// snapshots write one LYRAFED container. --restore sniffs the file format,
-// so a federation snapshot restores a federation whatever the flags say.
+// Every topology is a list of clusters behind one ShardRouter (DESIGN.md
+// §10, §11). --shards=N is one training cluster of N independent
+// single-writer engines ("0x1@N"): submits spread by key hash, job ids carry
+// their owning engine, and snapshot/restore round-trips the whole fleet
+// byte-identically. --federation=<spec> names the clusters instead: "2x2"
+// is 2 inference + 2 training clusters, "2x2@4" gives each 4 engine shards,
+// and "name:kind[:shards[:prio]],..." spells the clusters out. With two or
+// more clusters, submits route by "cluster"/"kind", a loan broker moves idle
+// inference capacity to pending training demand at every advance/drain
+// barrier, and snapshots write one LYRAFED container; a one-cluster spec is
+// a shard fleet. --restore reads the layout from the file's envelope magic
+// (LYRASNAP, LYRASHRD or LYRAFED), whatever the flags say. Engine k > 0
+// writes its trace and flight-recorder files to "<path>.shard<k>".
 //
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock
 //   ./build/tools/lyra_schedd --socket=/tmp/lyra.sock --tcp-port=7070
@@ -156,54 +158,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "lyra_schedd: --federation excludes --shards\n");
     return 1;
   }
-  // The restore file's format decides the topology: a LYRAFED container
-  // always restores a federation, LYRASNAP/LYRASHRD always a shard fleet.
-  const bool federated =
-      restore_path.empty() ? !federation_spec.empty()
-                           : lyra::svc::IsFedSnapshotFile(restore_path);
-  lyra::svc::ShardSet shard_fleet;
-  lyra::svc::FederationSet fed_fleet;
-  std::vector<std::unique_ptr<lyra::svc::SchedulerService>>* services = nullptr;
-  lyra::svc::ShardRouter* router_ptr = nullptr;
-  if (federated) {
-    lyra::StatusOr<lyra::svc::FederationSet> built =
-        restore_path.empty()
-            ? [&]() -> lyra::StatusOr<lyra::svc::FederationSet> {
-                lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
-                    lyra::svc::ParseFederationSpec(federation_spec);
-                if (!clusters.ok()) {
-                  return clusters.status();
-                }
-                return lyra::svc::BuildFederation(options, clusters.value(),
-                                                  make_driver);
-              }()
-            : lyra::svc::RestoreFederation(options, restore_path, make_driver);
-    if (!built.ok()) {
-      std::fprintf(stderr, "lyra_schedd: %s\n",
-                   built.status().message().c_str());
-      return 1;
-    }
-    fed_fleet = std::move(built.value());
-    services = &fed_fleet.services;
-    router_ptr = fed_fleet.router.get();
-  } else {
-    lyra::StatusOr<lyra::svc::ShardSet> built =
-        restore_path.empty()
-            ? lyra::svc::BuildShardSet(options, shards, make_driver)
-            : lyra::svc::RestoreShardSet(options, restore_path, make_driver);
-    if (!built.ok()) {
-      std::fprintf(stderr, "lyra_schedd: %s\n",
-                   built.status().message().c_str());
-      return 1;
-    }
-    shard_fleet = std::move(built.value());
-    services = &shard_fleet.services;
-    router_ptr = shard_fleet.router.get();
+  // --shards=N is one training cluster of N engines ("0x1@N"). A restore
+  // file's envelope decides the topology whatever the flags say.
+  const lyra::StatusOr<std::vector<lyra::svc::ClusterSpec>> clusters =
+      lyra::svc::ParseFederationSpec(federation_spec.empty()
+                                         ? "0x1@" + std::to_string(shards)
+                                         : federation_spec);
+  lyra::StatusOr<lyra::svc::ShardSet> built =
+      !clusters.ok()         ? clusters.status()
+      : restore_path.empty() ? lyra::svc::BuildShardSet(
+                                   options, clusters.value(), make_driver)
+                             : lyra::svc::RestoreShardSet(
+                                   options, restore_path, make_driver);
+  if (!built.ok()) {
+    std::fprintf(stderr, "lyra_schedd: %s\n", built.status().message().c_str());
+    return 1;
   }
-  lyra::svc::ShardRouter& router = *router_ptr;
+  lyra::svc::ShardSet fleet = std::move(built.value());
+  lyra::svc::ShardRouter& router = *fleet.router;
   if (!restore_path.empty()) {
     std::size_t commands = 0;
-    for (const auto& shard : *services) {
+    for (const auto& shard : fleet.services) {
       commands += shard->command_log().size();
     }
     std::printf(
@@ -217,7 +192,7 @@ int main(int argc, char** argv) {
   const lyra::Status listening = loop.Start();
   if (!listening.ok()) {
     std::fprintf(stderr, "lyra_schedd: %s\n", listening.message().c_str());
-    for (auto& shard : *services) {
+    for (auto& shard : fleet.services) {
       shard->Stop();
     }
     return 1;
@@ -241,11 +216,11 @@ int main(int argc, char** argv) {
   while (g_signal == 0 && !router.front()->stopped()) {
     if (g_dump_flight != 0) {
       g_dump_flight = 0;
-      // Shard 0 writes the configured path; other shards get per-shard
+      // Engine 0 writes the configured path; other engines get per-engine
       // files, same naming as the trace_dump wire command.
       for (int k = 0; k < router.shard_count(); ++k) {
         const std::string path =
-            k == 0 ? flight_path : flight_path + ".shard" + std::to_string(k);
+            lyra::svc::ShardRouter::EnginePath(flight_path, k);
         const lyra::StatusOr<std::size_t> dumped =
             router.shard(k)->DumpFlightRecorder(path);
         if (dumped.ok()) {
@@ -272,7 +247,7 @@ int main(int argc, char** argv) {
 
   // Stop the shards first so every queued command completes and its reply
   // reaches the event loop; the loop then flushes and closes connections.
-  for (auto& shard : *services) {
+  for (auto& shard : fleet.services) {
     shard->Stop();
   }
   loop.Stop();
