@@ -12,8 +12,8 @@
 //   - engine commands (submit/cancel/...) are forwarded to
 //     SchedulerService::ExecuteAsync and their slot completes when the
 //     engine's batch reply arrives;
-//   - read-only commands are answered inline from the service's state
-//     snapshot — they never touch the engine queue — unless an earlier
+//   - read-only commands are answered inline from the engines' state
+//     snapshots (ReadFleet) — they never touch the engine queue — unless an earlier
 //     engine command on the same connection is still in flight, in which
 //     case the read is deferred until that command completes (preserving
 //     read-your-writes and strict per-connection reply order);
@@ -59,7 +59,8 @@ struct EventLoopOptions {
 class EventLoop {
  public:
   // `service` must outlive the loop. Wraps the service in an owned
-  // one-engine router, which delegates every frame straight to it.
+  // one-engine router: engine commands go straight to the service, reads
+  // through the same one-engine ReadFleet as its own ReadReply.
   EventLoop(SchedulerService* service, EventLoopOptions options);
   // Multi-engine front end: frames route through `router` (which must
   // outlive the loop). I/O-thread telemetry and protocol-error counts home on

@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
+#include "src/svc/reads.h"
 #include "src/svc/service.h"
 #include "src/svc/shard_router.h"
 #include "src/svc/state_snapshot.h"
@@ -113,9 +115,6 @@ void AppendSingleHistogram(std::string& out, const char* family,
   AppendHistogramSeries(out, family, "", histogram);
 }
 
-constexpr const char* kJobStateNames[] = {"pending", "running", "finished",
-                                          "cancelled"};
-
 void AppendPool(std::string& out, const char* pool, const PoolCounters& c) {
   const std::string base = std::string("pool=\"") + pool + "\"";
   AppendSample(out, "lyra_engine_pool_servers", "", base,
@@ -133,218 +132,98 @@ void AppendPoolGpus(std::string& out, const char* pool,
                static_cast<double>(c.free_gpus));
 }
 
-}  // namespace
-
-std::string RenderPrometheus(const SchedulerService& service) {
-  const TelemetrySummary telemetry = service.telemetry().Collect();
-  const SchedulerService::Stats stats = service.stats();
-  const std::shared_ptr<const StateSnapshot> snap = service.snapshot();
-
-  std::string out;
-  out.reserve(32768);
-
-  // --- request latency, per command (skip never-seen commands) ---
-  AppendHeader(out, "lyra_svc_request_duration_seconds", "histogram",
-               "Request latency from frame decode to reply queued, per "
-               "command.");
-  for (int c = 0; c < kTelemetryWireCmdCount; ++c) {
-    const obs::Histogram& h = telemetry.cmd_latency[static_cast<std::size_t>(c)];
-    if (h.count() == 0) {
-      continue;
-    }
-    const std::string labels =
-        std::string("cmd=\"") +
-        TelemetryCmdName(static_cast<TelemetryCmd>(c)) + "\"";
-    AppendHistogramSeries(out, "lyra_svc_request_duration_seconds", labels, h);
+// The lyra_fed_* families: per-cluster identity, job states, own-pool GPUs
+// and loan balances, plus the broker's totals.
+void AppendFederation(std::string& out, const ShardRouter& router,
+                      const Snapshots& snaps) {
+  const FedLedger ledger = router.LedgerCopy();
+  std::vector<StateSnapshot> sums;
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    sums.push_back(router.SumCluster(snaps, c));
   }
-
-  AppendSingleHistogram(out, "lyra_svc_epoll_dispatch_lag_seconds",
-                        "Delay from epoll_wait return to event dispatch.",
-                        telemetry.dispatch_lag[0]);
-  AppendSingleHistogram(out, "lyra_svc_wake_batch_events",
-                        "Ready epoll events handled per wakeup.",
-                        telemetry.wake_events[0]);
-  AppendSingleHistogram(out, "lyra_svc_completion_batch",
-                        "Engine completions delivered per mailbox drain.",
-                        telemetry.completion_batch[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_batch_apply_seconds",
-                        "Engine time applying one command batch.",
-                        telemetry.engine_batch_apply[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_snapshot_publish_seconds",
-                        "Engine time publishing one read snapshot.",
-                        telemetry.engine_snapshot_publish[0]);
-  AppendSingleHistogram(out, "lyra_svc_engine_batch_commands",
-                        "Commands applied per engine batch.",
-                        telemetry.engine_batch_commands[0]);
-
-  // --- per-io-thread transport counters ---
-  // The engine shard never touches a socket; exporting its always-zero
-  // transport counters would only skew per-thread balance views.
-  const auto is_io = [](const TelemetrySummary::ShardCounters& shard) {
-    return shard.role.rfind("io", 0) == 0;
+  const auto label = [&router](int c) {
+    return "cluster=\"" + router.cluster_spec(c).name + "\"";
   };
-  AppendHeader(out, "lyra_svc_io_bytes_total", "counter",
-               "Bytes moved by each io thread, by direction.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
+  const auto count = [](auto v) { return static_cast<std::uint64_t>(v); };
+  const auto total = [&out](const char* family, const char* type,
+                            const char* help, std::uint64_t value) {
+    AppendHeader(out, family, type, help);
+    AppendCountSample(out, family, "", "", value);
+  };
+  total("lyra_fed_clusters", "gauge", "Clusters in the federation.",
+        count(router.cluster_count()));
+  AppendHeader(out, "lyra_fed_cluster_info", "gauge",
+               "Cluster identity (value is always 1).");
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    AppendCountSample(out, "lyra_fed_cluster_info", "",
+                      label(c) + ",kind=\"" +
+                          ClusterKindName(router.cluster_spec(c).kind) + "\"",
+                      1);
+  }
+  AppendHeader(out, "lyra_fed_jobs", "gauge", "Jobs by cluster and state.");
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    for (std::size_t s = 0; s < kJobStateNames.size(); ++s) {
+      AppendCountSample(out, "lyra_fed_jobs", "",
+                        label(c) + ",state=\"" + kJobStateNames[s] + "\"",
+                        sums[c].state_counts[s]);
     }
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.bytes_in);
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.bytes_out);
   }
-  AppendHeader(out, "lyra_svc_io_frames_total", "counter",
-               "Frames moved by each io thread, by direction.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.frames_in);
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.frames_out);
+  AppendHeader(out, "lyra_fed_gpus", "gauge",
+               "GPUs by cluster and pool counter.");
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    const PoolCounters& pool = router.OwnPool(sums[c], c);
+    AppendCountSample(out, "lyra_fed_gpus", "", label(c) + ",pool=\"total\"",
+                      count(pool.total_gpus));
+    AppendCountSample(out, "lyra_fed_gpus", "", label(c) + ",pool=\"free\"",
+                      count(pool.free_gpus));
   }
-  AppendHeader(out, "lyra_svc_write_queue_bytes_peak", "gauge",
-               "High-watermark of queued reply bytes per io thread.");
-  for (const auto& shard : telemetry.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_write_queue_bytes_peak", "",
-                      "thread=\"" + shard.role + "\"",
-                      shard.write_queue_peak);
+  AppendHeader(out, "lyra_fed_gpus_loaned", "gauge",
+               "GPUs currently lent out, by lender.");
+  AppendHeader(out, "lyra_fed_gpus_borrowed", "gauge",
+               "GPUs currently borrowed, by borrower.");
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    const auto cluster = static_cast<std::uint32_t>(c);
+    AppendCountSample(out, "lyra_fed_gpus_loaned", "", label(c),
+                      count(LoanedBy(ledger, cluster)));
+    AppendCountSample(out, "lyra_fed_gpus_borrowed", "", label(c),
+                      count(BorrowedBy(ledger, cluster)));
   }
-  AppendHeader(out, "lyra_svc_flight_spans_total", "counter",
-               "Flight-recorder spans recorded per telemetry shard.");
-  for (const auto& shard : telemetry.shards) {
-    AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                      "thread=\"" + shard.role + "\"", shard.spans_recorded);
-  }
-
-  // --- service counters / gauges (Stats) ---
-  AppendHeader(out, "lyra_svc_commands_applied_total", "counter",
-               "Engine commands applied.");
-  AppendCountSample(out, "lyra_svc_commands_applied_total", "", "",
-                    stats.commands_applied);
-  AppendHeader(out, "lyra_svc_jobs_submitted_total", "counter",
-               "Jobs accepted via submit.");
-  AppendCountSample(out, "lyra_svc_jobs_submitted_total", "", "",
-                    stats.jobs_submitted);
-  AppendHeader(out, "lyra_svc_jobs_cancelled_total", "counter",
-               "Jobs cancelled via cancel.");
-  AppendCountSample(out, "lyra_svc_jobs_cancelled_total", "", "",
-                    stats.jobs_cancelled);
-  AppendHeader(out, "lyra_svc_rejected_overload_total", "counter",
-               "Commands rejected or shed under backpressure.");
-  AppendCountSample(out, "lyra_svc_rejected_overload_total", "", "",
-                    stats.rejected_overload);
-  AppendHeader(out, "lyra_svc_command_errors_total", "counter",
-               "Malformed or failed commands.");
-  AppendCountSample(out, "lyra_svc_command_errors_total", "", "",
-                    stats.command_errors);
-  AppendHeader(out, "lyra_svc_reads_served_total", "counter",
-               "Read-only commands answered from the snapshot.");
-  AppendCountSample(out, "lyra_svc_reads_served_total", "", "",
-                    stats.reads_served);
-  AppendHeader(out, "lyra_svc_snapshots_published_total", "counter",
-               "Read snapshots published by the engine.");
-  AppendCountSample(out, "lyra_svc_snapshots_published_total", "", "",
-                    stats.snapshots_published);
-  AppendHeader(out, "lyra_svc_queue_depth", "gauge",
-               "Engine command queue depth.");
-  AppendCountSample(out, "lyra_svc_queue_depth", "", "", stats.queue_depth);
-  AppendHeader(out, "lyra_svc_queue_peak", "gauge",
-               "Engine command queue high-watermark.");
-  AppendCountSample(out, "lyra_svc_queue_peak", "", "", stats.queue_peak);
-
-  AppendHeader(out, "lyra_svc_uptime_seconds", "gauge",
-               "Seconds since the service started.");
-  AppendSample(out, "lyra_svc_uptime_seconds", "", "", service.UptimeSeconds());
-
-  AppendHeader(out, "lyra_svc_info", "gauge",
-               "Service identity; value is always 1.");
-  {
-    std::string labels = "scheduler=\"";
-    labels += service.options().engine.scheduler;
-    labels += "\",reclaim=\"";
-    labels += service.options().engine.reclaim;
-    labels += "\",driver=\"";
-    labels += service.driver_name();
-    labels += '"';
-    AppendSample(out, "lyra_svc_info", "", labels, 1.0);
-  }
-
-  // --- engine gauges from the read snapshot ---
-  if (snap != nullptr) {
-    AppendHeader(out, "lyra_engine_virtual_time_seconds", "gauge",
-                 "Engine virtual-time frontier.");
-    AppendSample(out, "lyra_engine_virtual_time_seconds", "", "", snap->time);
-    AppendHeader(out, "lyra_engine_events_processed_total", "counter",
-                 "Discrete events processed by the engine.");
-    AppendCountSample(out, "lyra_engine_events_processed_total", "", "",
-                      snap->events_processed);
-    AppendHeader(out, "lyra_engine_snapshot_version", "gauge",
-                 "Monotone version of the published read snapshot.");
-    AppendCountSample(out, "lyra_engine_snapshot_version", "", "",
-                      snap->version);
-    AppendHeader(out, "lyra_engine_jobs", "gauge",
-                 "Jobs known to the engine, by state.");
-    for (std::size_t s = 0; s < snap->state_counts.size(); ++s) {
-      AppendCountSample(out, "lyra_engine_jobs", "",
-                        std::string("state=\"") + kJobStateNames[s] + "\"",
-                        snap->state_counts[s]);
-    }
-    AppendHeader(out, "lyra_engine_pool_servers", "gauge",
-                 "Servers per cluster pool.");
-    AppendPool(out, "training", snap->training);
-    AppendPool(out, "on_loan", snap->on_loan);
-    AppendPool(out, "inference", snap->inference);
-    AppendHeader(out, "lyra_engine_pool_gpus", "gauge",
-                 "GPUs per cluster pool, by kind (total/used/free).");
-    AppendPoolGpus(out, "training", snap->training);
-    AppendPoolGpus(out, "on_loan", snap->on_loan);
-    AppendPoolGpus(out, "inference", snap->inference);
-  }
-  return out;
+  total("lyra_fed_loans_active", "gauge", "Outstanding cross-cluster loans.",
+        count(ledger.loans.size()));
+  total("lyra_fed_loans_granted_total", "counter", "GPUs ever granted.",
+        ledger.total_granted);
+  total("lyra_fed_loans_reclaimed_total", "counter", "GPUs ever reclaimed.",
+        ledger.total_reclaimed);
+  total("lyra_fed_loans_returned_total", "counter", "GPUs ever returned.",
+        ledger.total_returned);
 }
 
-std::string RenderPrometheus(const ShardRouter& router) {
-  if (router.shard_count() == 1) {
-    // Byte-for-byte the unsharded exposition: no shard labels, no extra
-    // families, so dashboards built against a one-shard daemon never change.
-    return RenderPrometheus(*router.front());
-  }
-  const int n = router.shard_count();
-  std::vector<TelemetrySummary> shard_telemetry;
-  std::vector<SchedulerService::Stats> shard_stats;
-  std::vector<std::shared_ptr<const StateSnapshot>> shard_snaps;
-  shard_telemetry.reserve(static_cast<std::size_t>(n));
-  shard_stats.reserve(static_cast<std::size_t>(n));
-  shard_snaps.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    shard_telemetry.push_back(router.shard(k)->telemetry().Collect());
-    shard_stats.push_back(router.shard(k)->stats());
-    shard_snaps.push_back(router.shard(k)->snapshot());
-  }
-  // The front shard's registry is where the I/O threads live; every other
-  // registry holds only that shard's engine thread.
-  const TelemetrySummary& front = shard_telemetry.front();
-  const SchedulerService::Stats total = router.AggregateStats();
-  const SchedulerService& front_service = *router.front();
+}  // namespace
 
-  std::string out;
-  out.reserve(65536);
-
-  const auto shard_label = [](int k) {
+std::string RenderPrometheus(EngineList engines,
+                             const ShardRouter* federation) {
+  const std::size_t n = engines.size();
+  const bool fleet = n > 1;
+  std::vector<TelemetrySummary> telemetry;
+  for (const SchedulerService* engine : engines) {
+    telemetry.push_back(engine->telemetry().Collect());
+  }
+  std::vector<SchedulerService::Stats> stats;
+  const SchedulerService::Stats total = SumStats(engines, &stats);
+  const Snapshots snaps = LoadSnapshots(engines);
+  const StateSnapshot sum = SumSnapshots(snaps);
+  // The front engine's registry is where the I/O threads live; every other
+  // registry holds only that engine's thread.
+  const TelemetrySummary& front = telemetry.front();
+  const SchedulerService& front_service = *engines.front();
+  const auto shard_label = [](std::size_t k) {
     return "shard=\"" + std::to_string(k) + "\"";
   };
 
-  // --- request latency (recorded by the I/O threads; front registry) ---
+  std::string out;
+  out.reserve(fleet ? 65536 : 32768);
+
+  // --- request latency, per command (skip never-seen commands) ---
   AppendHeader(out, "lyra_svc_request_duration_seconds", "histogram",
                "Request latency from frame decode to reply queued, per "
                "command.");
@@ -369,20 +248,19 @@ std::string RenderPrometheus(const ShardRouter& router) {
                         "Engine completions delivered per mailbox drain.",
                         front.completion_batch[0]);
 
-  // --- engine histograms: merged total first (first-match consumers see
-  // the fleet), then one series per shard ---
+  // --- engine histograms: the fleet's merged series first (first-match
+  // consumers see the fleet), then one series per engine ---
   const auto engine_histogram = [&](const char* family, const char* help,
                                     auto member) {
     AppendHeader(out, family, "histogram", help);
-    obs::Histogram merged = (shard_telemetry[0].*member)[0];
-    for (int k = 1; k < n; ++k) {
-      merged.Merge((shard_telemetry[static_cast<std::size_t>(k)].*member)[0]);
+    obs::Histogram merged = (telemetry[0].*member)[0];
+    for (std::size_t k = 1; k < n; ++k) {
+      merged.Merge((telemetry[k].*member)[0]);
     }
     AppendHistogramSeries(out, family, "", merged);
-    for (int k = 0; k < n; ++k) {
-      AppendHistogramSeries(
-          out, family, shard_label(k),
-          (shard_telemetry[static_cast<std::size_t>(k)].*member)[0]);
+    for (std::size_t k = 0; fleet && k < n; ++k) {
+      AppendHistogramSeries(out, family, shard_label(k),
+                            (telemetry[k].*member)[0]);
     }
   };
   engine_histogram("lyra_svc_engine_batch_apply_seconds",
@@ -395,36 +273,30 @@ std::string RenderPrometheus(const ShardRouter& router) {
                    "Commands applied per engine batch.",
                    &TelemetrySummary::engine_batch_commands);
 
-  // --- per-io-thread transport counters (front registry only) ---
+  // --- per-io-thread transport counters ---
+  // The engine shard never touches a socket; exporting its always-zero
+  // transport counters would only skew per-thread balance views.
   const auto is_io = [](const TelemetrySummary::ShardCounters& shard) {
     return shard.role.rfind("io", 0) == 0;
   };
-  AppendHeader(out, "lyra_svc_io_bytes_total", "counter",
-               "Bytes moved by each io thread, by direction.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
+  using Counters = TelemetrySummary::ShardCounters;
+  const auto io_direction = [&](const char* family, const char* help,
+                                auto in, auto out_member) {
+    AppendHeader(out, family, "counter", help);
+    for (const auto& shard : front.shards) {
+      if (is_io(shard)) {
+        const std::string thread = "thread=\"" + shard.role + "\",dir=";
+        AppendCountSample(out, family, "", thread + "\"in\"", shard.*in);
+        AppendCountSample(out, family, "", thread + "\"out\"", shard.*out_member);
+      }
     }
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.bytes_in);
-    AppendCountSample(out, "lyra_svc_io_bytes_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.bytes_out);
-  }
-  AppendHeader(out, "lyra_svc_io_frames_total", "counter",
-               "Frames moved by each io thread, by direction.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"in\"",
-                      shard.frames_in);
-    AppendCountSample(out, "lyra_svc_io_frames_total", "",
-                      "thread=\"" + shard.role + "\",dir=\"out\"",
-                      shard.frames_out);
-  }
+  };
+  io_direction("lyra_svc_io_bytes_total",
+               "Bytes moved by each io thread, by direction.",
+               &Counters::bytes_in, &Counters::bytes_out);
+  io_direction("lyra_svc_io_frames_total",
+               "Frames moved by each io thread, by direction.",
+               &Counters::frames_in, &Counters::frames_out);
   AppendHeader(out, "lyra_svc_write_queue_bytes_peak", "gauge",
                "High-watermark of queued reply bytes per io thread.");
   for (const auto& shard : front.shards) {
@@ -435,79 +307,60 @@ std::string RenderPrometheus(const ShardRouter& router) {
                       "thread=\"" + shard.role + "\"",
                       shard.write_queue_peak);
   }
+  // In a fleet every engine's own threads carry their engine's label.
   AppendHeader(out, "lyra_svc_flight_spans_total", "counter",
                "Flight-recorder spans recorded per telemetry shard.");
-  for (const auto& shard : front.shards) {
-    if (!is_io(shard)) {
-      continue;
-    }
-    AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                      "thread=\"" + shard.role + "\"", shard.spans_recorded);
-  }
-  for (int k = 0; k < n; ++k) {
-    for (const auto& shard : shard_telemetry[static_cast<std::size_t>(k)].shards) {
-      if (is_io(shard)) {
-        continue;
-      }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (const auto& shard : telemetry[k].shards) {
       AppendCountSample(out, "lyra_svc_flight_spans_total", "",
-                        "thread=\"" + shard.role + "\"," + shard_label(k),
+                        "thread=\"" + shard.role + "\"" +
+                            (fleet && !is_io(shard) ? "," + shard_label(k) : ""),
                         shard.spans_recorded);
     }
   }
 
-  // --- service counters / gauges: fleet total first, then per shard ---
+  // --- service counters / gauges (Stats): fleet total, then per engine ---
   const auto stat_family = [&](const char* family, const char* type,
-                               const char* help, std::uint64_t total_value,
-                               auto per_shard) {
+                               const char* help, auto member) {
     AppendHeader(out, family, type, help);
-    AppendCountSample(out, family, "", "", total_value);
-    for (int k = 0; k < n; ++k) {
-      AppendCountSample(out, family, "", shard_label(k),
-                        per_shard(shard_stats[static_cast<std::size_t>(k)]));
+    AppendCountSample(out, family, "", "", total.*member);
+    for (std::size_t k = 0; fleet && k < n; ++k) {
+      AppendCountSample(out, family, "", shard_label(k), stats[k].*member);
     }
   };
+  using Stats = SchedulerService::Stats;
   stat_family("lyra_svc_commands_applied_total", "counter",
-              "Engine commands applied.", total.commands_applied,
-              [](const SchedulerService::Stats& s) { return s.commands_applied; });
+              "Engine commands applied.", &Stats::commands_applied);
   stat_family("lyra_svc_jobs_submitted_total", "counter",
-              "Jobs accepted via submit.", total.jobs_submitted,
-              [](const SchedulerService::Stats& s) { return s.jobs_submitted; });
+              "Jobs accepted via submit.", &Stats::jobs_submitted);
   stat_family("lyra_svc_jobs_cancelled_total", "counter",
-              "Jobs cancelled via cancel.", total.jobs_cancelled,
-              [](const SchedulerService::Stats& s) { return s.jobs_cancelled; });
+              "Jobs cancelled via cancel.", &Stats::jobs_cancelled);
   stat_family("lyra_svc_rejected_overload_total", "counter",
               "Commands rejected or shed under backpressure.",
-              total.rejected_overload,
-              [](const SchedulerService::Stats& s) { return s.rejected_overload; });
+              &Stats::rejected_overload);
   stat_family("lyra_svc_command_errors_total", "counter",
-              "Malformed or failed commands.", total.command_errors,
-              [](const SchedulerService::Stats& s) { return s.command_errors; });
+              "Malformed or failed commands.", &Stats::command_errors);
   stat_family("lyra_svc_reads_served_total", "counter",
               "Read-only commands answered from the snapshot.",
-              total.reads_served,
-              [](const SchedulerService::Stats& s) { return s.reads_served; });
+              &Stats::reads_served);
   stat_family("lyra_svc_snapshots_published_total", "counter",
               "Read snapshots published by the engine.",
-              total.snapshots_published,
-              [](const SchedulerService::Stats& s) {
-                return s.snapshots_published;
-              });
-  stat_family("lyra_svc_queue_depth", "gauge",
-              "Engine command queue depth.", total.queue_depth,
-              [](const SchedulerService::Stats& s) { return s.queue_depth; });
+              &Stats::snapshots_published);
+  stat_family("lyra_svc_queue_depth", "gauge", "Engine command queue depth.",
+              &Stats::queue_depth);
   stat_family("lyra_svc_queue_peak", "gauge",
-              "Engine command queue high-watermark.", total.queue_peak,
-              [](const SchedulerService::Stats& s) { return s.queue_peak; });
+              "Engine command queue high-watermark.", &Stats::queue_peak);
 
   AppendHeader(out, "lyra_svc_uptime_seconds", "gauge",
                "Seconds since the service started.");
   AppendSample(out, "lyra_svc_uptime_seconds", "", "",
                front_service.UptimeSeconds());
 
-  AppendHeader(out, "lyra_svc_shards", "gauge",
-               "Engine shards behind this front end.");
-  AppendCountSample(out, "lyra_svc_shards", "", "",
-                    static_cast<std::uint64_t>(n));
+  if (fleet) {
+    AppendHeader(out, "lyra_svc_shards", "gauge",
+                 "Engine shards behind this front end.");
+    AppendCountSample(out, "lyra_svc_shards", "", "", n);
+  }
 
   AppendHeader(out, "lyra_svc_info", "gauge",
                "Service identity; value is always 1.");
@@ -522,94 +375,63 @@ std::string RenderPrometheus(const ShardRouter& router) {
     AppendSample(out, "lyra_svc_info", "", labels, 1.0);
   }
 
-  // --- engine gauges from the per-shard read snapshots ---
-  double virtual_time = 0.0;
-  std::uint64_t events = 0, version = 0;
-  std::array<std::uint64_t, 4> states{};
-  PoolCounters training, on_loan, inference;
-  bool any_snap = false;
-  const auto add_pool = [](PoolCounters& into, const PoolCounters& from) {
-    into.servers += from.servers;
-    into.total_gpus += from.total_gpus;
-    into.used_gpus += from.used_gpus;
-    into.free_gpus += from.free_gpus;
-  };
-  for (const auto& snap : shard_snaps) {
-    if (snap == nullptr) {
-      continue;
-    }
-    any_snap = true;
-    virtual_time = std::max(virtual_time, snap->time);
-    events += snap->events_processed;
-    version = std::max(version, snap->version);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      states[i] += snap->state_counts[i];
-    }
-    add_pool(training, snap->training);
-    add_pool(on_loan, snap->on_loan);
-    add_pool(inference, snap->inference);
-  }
-  if (any_snap) {
-    AppendHeader(out, "lyra_engine_virtual_time_seconds", "gauge",
-                 "Engine virtual-time frontier.");
-    AppendSample(out, "lyra_engine_virtual_time_seconds", "", "", virtual_time);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendSample(out, "lyra_engine_virtual_time_seconds", "",
-                     shard_label(k),
-                     shard_snaps[static_cast<std::size_t>(k)]->time);
+  // --- engine gauges from the read snapshots: fleet total, then per
+  // engine; the pools are totals only ---
+  if (sum.version != 0) {
+    const auto snapshot_family = [&](const char* family, const char* type,
+                                     const char* help, auto member) {
+      AppendHeader(out, family, type, help);
+      const auto append = [&](const std::string& labels, auto value) {
+        if constexpr (std::is_floating_point_v<decltype(value)>) {
+          AppendSample(out, family, "", labels, value);
+        } else {
+          AppendCountSample(out, family, "", labels, value);
+        }
+      };
+      append("", sum.*member);
+      for (std::size_t k = 0; fleet && k < n; ++k) {
+        if (snaps[k] != nullptr) {
+          append(shard_label(k), (*snaps[k]).*member);
+        }
       }
-    }
-    AppendHeader(out, "lyra_engine_events_processed_total", "counter",
-                 "Discrete events processed by the engine.");
-    AppendCountSample(out, "lyra_engine_events_processed_total", "", "",
-                      events);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendCountSample(
-            out, "lyra_engine_events_processed_total", "", shard_label(k),
-            shard_snaps[static_cast<std::size_t>(k)]->events_processed);
-      }
-    }
-    AppendHeader(out, "lyra_engine_snapshot_version", "gauge",
-                 "Monotone version of the published read snapshot.");
-    AppendCountSample(out, "lyra_engine_snapshot_version", "", "", version);
-    for (int k = 0; k < n; ++k) {
-      if (shard_snaps[static_cast<std::size_t>(k)] != nullptr) {
-        AppendCountSample(out, "lyra_engine_snapshot_version", "",
-                          shard_label(k),
-                          shard_snaps[static_cast<std::size_t>(k)]->version);
-      }
-    }
+    };
+    snapshot_family("lyra_engine_virtual_time_seconds", "gauge",
+                    "Engine virtual-time frontier.", &StateSnapshot::time);
+    snapshot_family("lyra_engine_events_processed_total", "counter",
+                    "Discrete events processed by the engine.",
+                    &StateSnapshot::events_processed);
+    snapshot_family("lyra_engine_snapshot_version", "gauge",
+                    "Monotone version of the published read snapshot.",
+                    &StateSnapshot::version);
     AppendHeader(out, "lyra_engine_jobs", "gauge",
                  "Jobs known to the engine, by state.");
-    for (std::size_t st = 0; st < states.size(); ++st) {
-      AppendCountSample(out, "lyra_engine_jobs", "",
-                        std::string("state=\"") + kJobStateNames[st] + "\"",
-                        states[st]);
-    }
-    for (int k = 0; k < n; ++k) {
-      const auto& snap = shard_snaps[static_cast<std::size_t>(k)];
-      if (snap == nullptr) {
-        continue;
-      }
-      for (std::size_t st = 0; st < states.size(); ++st) {
+    const auto jobs = [&](const StateSnapshot& snap, const std::string& suffix) {
+      for (std::size_t s = 0; s < kJobStateNames.size(); ++s) {
         AppendCountSample(out, "lyra_engine_jobs", "",
-                          std::string("state=\"") + kJobStateNames[st] +
-                              "\"," + shard_label(k),
-                          snap->state_counts[st]);
+                          std::string("state=\"") + kJobStateNames[s] + "\"" +
+                              suffix,
+                          snap.state_counts[s]);
+      }
+    };
+    jobs(sum, "");
+    for (std::size_t k = 0; fleet && k < n; ++k) {
+      if (snaps[k] != nullptr) {
+        jobs(*snaps[k], "," + shard_label(k));
       }
     }
     AppendHeader(out, "lyra_engine_pool_servers", "gauge",
                  "Servers per cluster pool.");
-    AppendPool(out, "training", training);
-    AppendPool(out, "on_loan", on_loan);
-    AppendPool(out, "inference", inference);
+    AppendPool(out, "training", sum.training);
+    AppendPool(out, "on_loan", sum.on_loan);
+    AppendPool(out, "inference", sum.inference);
     AppendHeader(out, "lyra_engine_pool_gpus", "gauge",
                  "GPUs per cluster pool, by kind (total/used/free).");
-    AppendPoolGpus(out, "training", training);
-    AppendPoolGpus(out, "on_loan", on_loan);
-    AppendPoolGpus(out, "inference", inference);
+    AppendPoolGpus(out, "training", sum.training);
+    AppendPoolGpus(out, "on_loan", sum.on_loan);
+    AppendPoolGpus(out, "inference", sum.inference);
+  }
+  if (federation != nullptr) {
+    AppendFederation(out, *federation, snaps);
   }
   return out;
 }

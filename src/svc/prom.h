@@ -14,6 +14,7 @@
 #define SRC_SVC_PROM_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,19 +26,18 @@ namespace lyra::svc {
 class SchedulerService;
 class ShardRouter;
 
-// Renders the full exposition document. Callable from any thread (scrape
-// cost lands entirely on the caller; writers are never touched beyond
-// relaxed loads).
-std::string RenderPrometheus(const SchedulerService& service);
-
-// Sharded variant. One shard delegates to the service renderer byte-for-byte.
-// With N > 1 every engine family carries per-shard samples labeled
-// `shard="k"` plus an unlabeled merged total (histograms merged bucketwise,
-// counters and gauges summed) emitted first, so single-series consumers that
-// take the first match keep working unchanged; I/O-thread families come from
-// the front shard's registry, where the event loop homes them. Adds a
-// `lyra_svc_shards` gauge.
-std::string RenderPrometheus(const ShardRouter& router);
+// Renders the full exposition document over a fleet's engines (reads.h).
+// Callable from any thread (scrape cost lands entirely on the caller;
+// writers are never touched beyond relaxed loads). With more than one
+// engine, every engine family carries per-engine samples labeled
+// `shard="k"` after an unlabeled fleet total (histograms merged bucketwise,
+// counters and gauges summed), so single-series consumers that take the
+// first match see the fleet, and a `lyra_svc_shards` gauge is added;
+// I/O-thread families come from the front engine's registry, where the
+// event loop homes them. A non-null `federation` appends the
+// cluster-labeled lyra_fed_* families.
+std::string RenderPrometheus(std::span<const SchedulerService* const> engines,
+                             const ShardRouter* federation);
 
 struct PromSample {
   std::string name;  // full sample name, including _bucket/_sum/_count

@@ -9,7 +9,7 @@
 
 #include "src/common/check.h"
 #include "src/obs/trace_exporter.h"
-#include "src/svc/prom.h"
+#include "src/svc/reads.h"
 #include "src/svc/replies.h"
 
 namespace lyra::svc {
@@ -50,16 +50,7 @@ bool ModelFamilyFromName(const std::string& name, ModelFamily* family) {
 }  // namespace
 
 SchedulerService::CmdClass SchedulerService::Classify(const std::string& cmd) {
-  if (cmd == "query_job" || cmd == "cluster_stats" || cmd == "metrics" ||
-      cmd == "ping" || cmd == "stats_prom" || cmd == "trace_dump" ||
-      cmd == "federation_stats") {
-    return CmdClass::kRead;
-  }
-  if (cmd == "submit" || cmd == "cancel" || cmd == "advance" || cmd == "drain" ||
-      cmd == "snapshot" || cmd == "shutdown" || cmd == "migrate") {
-    return CmdClass::kEngine;
-  }
-  return CmdClass::kUnknown;
+  return Classify(TelemetryCmdFromName(cmd));
 }
 
 SchedulerService::CmdClass SchedulerService::Classify(TelemetryCmd cmd) {
@@ -240,28 +231,30 @@ SchedulerService::Stats SchedulerService::stats() const {
   return stats;
 }
 
+void SchedulerService::WaitSink::OnReply(std::uint64_t /*a*/,
+                                         std::uint64_t /*b*/, JsonValue reply) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    reply_ = std::move(reply);
+    done_ = true;
+  }
+  cv_.notify_all();
+}
+
+JsonValue SchedulerService::WaitSink::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return done_; });
+  return std::move(reply_);
+}
+
 JsonValue SchedulerService::Execute(const JsonValue& request) {
-  if (Classify(request.GetString("cmd")) != CmdClass::kEngine) {
+  const CmdClass cls = Classify(request.GetString("cmd"));
+  if (cls != CmdClass::kEngine) {
     return ReadReply(request);
   }
-  struct Waiter {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    JsonValue reply;
-  };
-  auto waiter = std::make_shared<Waiter>();
-  ExecuteAsync(request, [waiter](JsonValue reply) {
-    {
-      std::lock_guard<std::mutex> lock(waiter->mu);
-      waiter->reply = std::move(reply);
-      waiter->done = true;
-    }
-    waiter->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(waiter->mu);
-  waiter->cv.wait(lock, [&] { return waiter->done; });
-  return std::move(waiter->reply);
+  auto waiter = std::make_shared<WaitSink>();
+  ExecuteAsync(request, waiter, 0, 0, cls);
+  return waiter->Wait();
 }
 
 std::string SchedulerService::ExecuteText(const std::string& request_text) {
@@ -279,23 +272,6 @@ std::string SchedulerService::ExecuteText(const std::string& request_text) {
   return Execute(parsed.value()).Dump();
 }
 
-void SchedulerService::ExecuteAsync(JsonValue request, Completion done) {
-  const CmdClass cls = Classify(request.GetString("cmd"));
-  ExecuteAsync(std::move(request), std::move(done), cls);
-}
-
-void SchedulerService::ExecuteAsync(JsonValue request, Completion done,
-                                    CmdClass cls) {
-  if (cls != CmdClass::kEngine) {
-    done(ReadReply(request));
-    return;
-  }
-  PendingCommand cmd;
-  cmd.request = std::move(request);
-  cmd.done = std::move(done);
-  EnqueueEngine(std::move(cmd));
-}
-
 void SchedulerService::ExecuteAsync(JsonValue request,
                                     std::shared_ptr<CompletionSink> sink,
                                     std::uint64_t a, std::uint64_t b,
@@ -310,14 +286,6 @@ void SchedulerService::ExecuteAsync(JsonValue request,
   cmd.sink_a = a;
   cmd.sink_b = b;
   EnqueueEngine(std::move(cmd));
-}
-
-void SchedulerService::Deliver(PendingCommand& cmd, JsonValue reply) {
-  if (cmd.sink != nullptr) {
-    cmd.sink->OnReply(cmd.sink_a, cmd.sink_b, std::move(reply));
-  } else {
-    cmd.done(std::move(reply));
-  }
 }
 
 void SchedulerService::EnqueueEngine(PendingCommand cmd) {
@@ -346,7 +314,7 @@ void SchedulerService::EnqueueEngine(PendingCommand cmd) {
   }
   if (rejected) {
     EchoSeq(cmd.request, rejection);
-    Deliver(cmd, std::move(rejection));
+    cmd.sink->OnReply(cmd.sink_a, cmd.sink_b, std::move(rejection));
     return;
   }
   // Only the push that makes the queue non-empty can find the engine asleep:
@@ -360,114 +328,8 @@ void SchedulerService::EnqueueEngine(PendingCommand cmd) {
 }
 
 JsonValue SchedulerService::ReadReply(const JsonValue& request) const {
-  const std::string cmd = request.GetString("cmd");
-  JsonValue reply;
-  if (Classify(cmd) == CmdClass::kUnknown) {
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    reply = ErrorReply("invalid_argument", "unknown cmd: \"" + cmd + "\"");
-    EchoSeq(request, reply);
-    return reply;
-  }
-  const std::shared_ptr<const StateSnapshot> snap = snapshot();
-  if (snap == nullptr || stopped()) {
-    reply = ErrorReply("unavailable", "service is stopped");
-    EchoSeq(request, reply);
-    return reply;
-  }
-  if (cmd == "query_job") {
-    const JsonValue* job_field = request.Find("job");
-    if (job_field == nullptr || !job_field->is_number()) {
-      command_errors_.fetch_add(1, std::memory_order_relaxed);
-      reply = ErrorReply("invalid_argument", "query_job requires a numeric \"job\"");
-    } else {
-      reply = SnapshotJobReply(*snap, job_field->AsInt());
-      if (!reply.GetBool("ok", false)) {
-        command_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else if (cmd == "cluster_stats") {
-    reply = SnapshotClusterStatsReply(*snap);
-  } else if (cmd == "metrics") {
-    reply = OkReply();
-    reply.Set("time", JsonValue::MakeNumber(snap->time));
-    reply.Set("engine", snap->engine_metrics != nullptr ? *snap->engine_metrics
-                                                        : JsonValue::MakeNull());
-    const Stats stats = this->stats();
-    JsonValue service = JsonValue::MakeObject();
-    service.Set("commands_applied", JsonValue::MakeNumber(
-                                        static_cast<double>(stats.commands_applied)));
-    service.Set("jobs_submitted",
-                JsonValue::MakeNumber(static_cast<double>(stats.jobs_submitted)));
-    service.Set("jobs_cancelled",
-                JsonValue::MakeNumber(static_cast<double>(stats.jobs_cancelled)));
-    service.Set("rejected_overload",
-                JsonValue::MakeNumber(static_cast<double>(stats.rejected_overload)));
-    service.Set("command_errors",
-                JsonValue::MakeNumber(static_cast<double>(stats.command_errors)));
-    service.Set("reads_served",
-                JsonValue::MakeNumber(static_cast<double>(stats.reads_served)));
-    service.Set("snapshots_published",
-                JsonValue::MakeNumber(
-                    static_cast<double>(stats.snapshots_published)));
-    service.Set("queue_depth",
-                JsonValue::MakeNumber(static_cast<double>(stats.queue_depth)));
-    service.Set("queue_peak",
-                JsonValue::MakeNumber(static_cast<double>(stats.queue_peak)));
-    service.Set("command_log", JsonValue::MakeNumber(
-                                   static_cast<double>(snap->command_log_size)));
-    service.Set("driver", JsonValue::MakeString(driver_->name()));
-    reply.Set("service", std::move(service));
-    reply.Set("metrics_time", JsonValue::MakeNumber(snap->metrics_time));
-  } else if (cmd == "stats_prom") {
-    // Unix-socket counterpart of `GET /metrics`: the full exposition
-    // document as a reply field, for clients without an HTTP path.
-    reply = OkReply();
-    reply.Set("text", JsonValue::MakeString(RenderPrometheus(*this)));
-  } else if (cmd == "federation_stats") {
-    // Classified as a read so the federation front end can intercept it; a
-    // plain engine has no clusters or broker to report on.
-    command_errors_.fetch_add(1, std::memory_order_relaxed);
-    reply = ErrorReply("failed_precondition", "not a federation");
-  } else if (cmd == "trace_dump") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      command_errors_.fetch_add(1, std::memory_order_relaxed);
-      reply = ErrorReply("invalid_argument", "trace_dump requires a \"path\"");
-    } else {
-      const StatusOr<std::size_t> dumped = DumpFlightRecorder(path);
-      if (!dumped.ok()) {
-        command_errors_.fetch_add(1, std::memory_order_relaxed);
-        reply = StatusReply(dumped.status());
-      } else {
-        reply = OkReply();
-        reply.Set("path", JsonValue::MakeString(path));
-        reply.Set("spans", JsonValue::MakeNumber(
-                               static_cast<double>(dumped.value())));
-      }
-    }
-  } else {  // ping
-    // Liveness + identity probe: enough to tell which engine answered and
-    // how far it has gotten, without the cost of a metrics export.
-    reply = OkReply();
-    reply.Set("time", JsonValue::MakeNumber(snap->time));
-    reply.Set("virtual_time", JsonValue::MakeNumber(driver_->Now()));
-    reply.Set("driver", JsonValue::MakeString(driver_->name()));
-    reply.Set("uptime_s", JsonValue::MakeNumber(UptimeSeconds()));
-    std::uint64_t applied = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      applied = commands_applied_;
-    }
-    reply.Set("commands_applied",
-              JsonValue::MakeNumber(static_cast<double>(applied)));
-    reply.Set("snapshot_seq",
-              JsonValue::MakeNumber(static_cast<double>(snap->version)));
-    reply.Set("scheduler", JsonValue::MakeString(options_.engine.scheduler));
-    reply.Set("reclaim", JsonValue::MakeString(options_.engine.reclaim));
-  }
-  reads_served_.fetch_add(1, std::memory_order_relaxed);
-  EchoSeq(request, reply);
-  return reply;
+  const SchedulerService* self = this;
+  return ReadFleet({&self, 1}, request, nullptr);
 }
 
 SchedulerService::NextAction SchedulerService::Next(
@@ -561,7 +423,8 @@ void SchedulerService::EngineLoop() {
         batch_submitted_ = 0;
         batch_cancelled_ = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          Deliver(batch[i], std::move(replies[i]));
+          batch[i].sink->OnReply(batch[i].sink_a, batch[i].sink_b,
+                                 std::move(replies[i]));
         }
         break;
       }

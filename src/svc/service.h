@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -101,20 +100,30 @@ class SchedulerService {
   // name to a TelemetryCmd (one string scan instead of two).
   static CmdClass Classify(TelemetryCmd cmd);
 
-  // Invoked exactly once with the reply, on the engine thread for queued
-  // commands or inline on the caller's thread for immediate rejections
-  // (overload, stopped service). Never invoked under a service lock.
-  using Completion = std::function<void(JsonValue reply)>;
-
-  // Allocation-free alternative to Completion for high-rate front ends: the
-  // queue holds {sink, two caller-chosen words} instead of a type-erased
-  // closure, so enqueuing a command costs a shared_ptr bump rather than a
-  // heap-allocated std::function whose capture outgrows the small-buffer
-  // slot. Same delivery contract as Completion.
+  // Where a command's reply goes: OnReply(a, b, reply) is invoked exactly
+  // once, on the engine thread for queued commands or inline on the
+  // caller's thread for immediate rejections (overload, stopped service),
+  // never under a service lock. The queue holds {sink, two caller-chosen
+  // words} rather than a type-erased closure, so enqueuing a command costs
+  // a shared_ptr bump and no allocation.
   class CompletionSink {
    public:
     virtual ~CompletionSink() = default;
     virtual void OnReply(std::uint64_t a, std::uint64_t b, JsonValue reply) = 0;
+  };
+
+  // The synchronous callers' sink (Execute here and in ShardRouter): Wait()
+  // blocks until the one reply lands and returns it.
+  class WaitSink : public CompletionSink {
+   public:
+    void OnReply(std::uint64_t a, std::uint64_t b, JsonValue reply) override;
+    JsonValue Wait();
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool done_ = false;
+    JsonValue reply_;
   };
 
   SchedulerService(ServiceOptions options, std::unique_ptr<TimeDriver> driver);
@@ -153,22 +162,17 @@ class SchedulerService {
   // the serialized reply.
   std::string ExecuteText(const std::string& request_text);
 
-  // Non-blocking engine-command entry point for the event loop: enqueues and
-  // returns; `done` fires with the reply after the batch containing the
-  // command is applied and its snapshot published. Rejections (overload,
-  // stopped) invoke `done` before returning. Routes read-only commands
-  // through ReadReply inline.
-  void ExecuteAsync(JsonValue request, Completion done);
-  // Variant for front ends that already classified the command (the event
-  // loop routes on the class before enqueuing), skipping a re-classify.
-  void ExecuteAsync(JsonValue request, Completion done, CmdClass cls);
-  // Sink variant: replies (including inline rejections) arrive as
-  // sink->OnReply(a, b, reply). No per-command allocation.
+  // Non-blocking entry point for front ends that already classified the
+  // command: enqueues an engine command and returns; sink->OnReply(a, b,
+  // reply) fires after the batch containing it is applied and its snapshot
+  // published. Rejections (overload, stopped) and reads (`cls` other than
+  // kEngine, answered through ReadReply) reply before this returns.
   void ExecuteAsync(JsonValue request, std::shared_ptr<CompletionSink> sink,
                     std::uint64_t a, std::uint64_t b, CmdClass cls);
 
-  // Answers a read-only (or unknown) command from the current snapshot.
-  // Never touches the engine queue. Callable from any thread.
+  // Answers a read-only (or unknown) command from the current snapshot:
+  // ReadFleet (reads.h) over this one engine. Never touches the engine
+  // queue. Callable from any thread.
   JsonValue ReadReply(const JsonValue& request) const;
 
   // Counts a wire-level protocol error (unparseable or malformed frame) in
@@ -178,9 +182,8 @@ class SchedulerService {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Counts one served read in Stats::reads_served. For front ends that
-  // answer a read by merging several shards' snapshots themselves (the
-  // ShardRouter) rather than going through this service's ReadReply.
+  // Counts one served read in Stats::reads_served. ReadFleet counts every
+  // read of a fleet, one engine or many, on the fleet's front engine.
   void CountRead() const {
     reads_served_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -235,7 +238,7 @@ class SchedulerService {
 
   Stats stats() const;
   const ServiceOptions& options() const { return options_; }
-  TimeDriver* driver() { return driver_.get(); }
+  TimeDriver* driver() const { return driver_.get(); }
 
   // Engine access for embedding and tests. Safe only when no engine thread
   // is running (before Start or after Stop).
@@ -245,7 +248,6 @@ class SchedulerService {
  private:
   struct PendingCommand {
     JsonValue request;
-    Completion done;  // null when the sink form is used
     std::shared_ptr<CompletionSink> sink;
     std::uint64_t sink_a = 0;
     std::uint64_t sink_b = 0;
@@ -257,7 +259,6 @@ class SchedulerService {
   NextAction Next(std::vector<PendingCommand>* batch);
   void PublishSnapshot(bool force_metrics);
   void EnqueueEngine(PendingCommand cmd);
-  static void Deliver(PendingCommand& cmd, JsonValue reply);
 
   JsonValue Apply(const JsonValue& request);
   JsonValue ApplySubmit(const JsonValue& request);

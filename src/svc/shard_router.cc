@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -12,41 +11,12 @@
 #include "src/common/envelope.h"
 #include "src/common/hash.h"
 #include "src/svc/prom.h"
+#include "src/svc/reads.h"
 #include "src/svc/replies.h"
 #include "src/svc/snapshot.h"
 
 namespace lyra::svc {
 namespace {
-
-// Reply fields where "merged" means the furthest shard, not the sum: virtual
-// times, high-watermarks, and version counters.
-bool MergeByMax(const std::string& key) {
-  return key == "time" || key == "metrics_time" || key == "virtual_time" ||
-         key == "queue_peak" || key == "snapshot_version";
-}
-
-// Structural merge of per-shard reply documents: numbers sum (or max, see
-// above), objects recurse, everything else keeps the first shard's value.
-// Used for cluster_stats and the engine metrics export, whose members are
-// all per-shard tallies.
-void MergeNumeric(JsonValue& into, const JsonValue& from) {
-  if (!into.is_object() || !from.is_object()) {
-    return;
-  }
-  for (const auto& [key, value] : from.AsObject()) {
-    JsonValue* existing = into.FindMutable(key);
-    if (existing == nullptr) {
-      into.Set(key, value);
-    } else if (existing->is_number() && value.is_number()) {
-      const double merged = MergeByMax(key)
-                                ? std::max(existing->AsDouble(), value.AsDouble())
-                                : existing->AsDouble() + value.AsDouble();
-      *existing = JsonValue::MakeNumber(merged);
-    } else if (existing->is_object() && value.is_object()) {
-      MergeNumeric(*existing, value);
-    }
-  }
-}
 
 // How a "cluster"/"to" field renders in error messages.
 std::string DescribeTarget(const JsonValue& target) {
@@ -58,10 +28,6 @@ std::string DescribeTarget(const JsonValue& target) {
   }
   return "?";
 }
-
-// Labels for StateSnapshot::state_counts, indexed by JobState.
-constexpr const char* kJobStates[] = {"pending", "running", "finished",
-                                      "cancelled"};
 
 }  // namespace
 
@@ -107,32 +73,6 @@ class ShardRouter::FanoutSink : public SchedulerService::CompletionSink {
   const std::uint64_t b_;
   std::vector<JsonValue> replies_;
   std::atomic<int> remaining_;
-};
-
-// Synchronous bridge for ShardRouter::Execute.
-class ShardRouter::WaitSink : public SchedulerService::CompletionSink {
- public:
-  void OnReply(std::uint64_t /*a*/, std::uint64_t /*b*/,
-               JsonValue reply) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reply_ = std::move(reply);
-      done_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  JsonValue Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return done_; });
-    return std::move(reply_);
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  JsonValue reply_;
 };
 
 // Two-hop migration chain: cancel on the source engine, then resubmit on the
@@ -218,11 +158,6 @@ class ShardRouter::MigrationSink
   const std::uint32_t source_cluster_;
   JsonValue submit_;
   const double checkpoint_cost_;
-};
-
-struct ShardRouter::ClusterTally {
-  std::array<std::uint64_t, 4> states{};  // by JobState
-  PoolCounters pool;                      // the cluster's own pool
 };
 
 ShardRouter::ShardRouter(std::vector<SchedulerService*> shards,
@@ -346,6 +281,10 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
     case TelemetryCmd::kCancel: {
       const JsonValue* job = request.Find("job");
       if (job != nullptr && job->is_number()) {
+        if (job->AsInt() < 0) {
+          plan.reject = true;  // names no job; the id must not alias one
+          return plan;
+        }
         plan.shard = ShardOfJob(job->AsInt());
         plan.rewrite_job = true;
       }
@@ -398,6 +337,9 @@ JsonValue ShardRouter::RejectReply(const JsonValue& request) const {
                              "migrate requires a numeric \"job\"")
                 : ErrorReply("failed_precondition",
                              "migration requires at least two clusters");
+  } else if (request.GetString("cmd") == "cancel") {
+    reply = ErrorReply("not_found", "no such job: " +
+                                        std::to_string(request.Find("job")->AsInt()));
   } else if (cluster != nullptr) {
     reply = ErrorReply("invalid_argument",
                        "no such cluster: " + DescribeTarget(*cluster));
@@ -466,6 +408,10 @@ void ShardRouter::StartMigration(
   };
 
   const std::int64_t global = request.Find("job")->AsInt();  // RouteEngine-checked
+  if (global < 0) {  // names no job; the id must not alias one
+    return fail(
+        ErrorReply("not_found", "no such job: " + std::to_string(global)));
+  }
   const std::uint32_t source_engine = ShardOfJob(global);
   const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
 
@@ -518,7 +464,7 @@ void ShardRouter::StartMigration(
     return fail(ErrorReply(
         "failed_precondition",
         "job " + std::to_string(global) + " is already " +
-            (record->state == JobState::kFinished ? "finished" : "cancelled")));
+            kJobStateNames[static_cast<std::size_t>(record->state)]));
   }
 
   const double cost = record->spec.checkpointing ? kMigrationCheckpointCost
@@ -743,350 +689,51 @@ Status ShardRouter::SaveContainer(const std::string& path,
 }
 
 JsonValue ShardRouter::ReadReply(const JsonValue& request) const {
-  if (shard_count() == 1) {
-    return front()->ReadReply(request);
-  }
-  const std::string cmd = request.GetString("cmd");
-  if (cmd == "query_job") {
-    return QueryJob(request);
-  }
-  if (cmd == "cluster_stats") {
-    return MergedClusterStats(request);
-  }
-  if (cmd == "metrics") {
-    return MergedMetrics(request);
-  }
-  if (cmd == "ping") {
-    return MergedPing(request);
-  }
-  if (cmd == "stats_prom") {
-    return MergedStatsProm(request);
-  }
-  if (cmd == "trace_dump") {
-    return MergedTraceDump(request);
-  }
-  if (cmd == "federation_stats" && federated()) {
-    return FederationStats(request);
-  }
-  // Unknown commands (and federation_stats outside a federation): the
-  // front engine produces the standard error reply (and counts it).
-  return front()->ReadReply(request);
-}
-
-JsonValue ShardRouter::QueryJob(const JsonValue& request) const {
-  const JsonValue* job = request.Find("job");
-  if (job == nullptr || !job->is_number()) {
-    return front()->ReadReply(request);  // standard invalid_argument reply
-  }
-  const std::int64_t global = job->AsInt();
-  const std::uint32_t shard = ShardOfJob(global);
-  JsonValue local_request = request;  // keeps "seq" for the shard's EchoSeq
-  local_request.Replace("job", JsonValue::MakeNumber(
-                                   static_cast<double>(ToLocal(global))));
-  JsonValue reply = shards_[shard]->ReadReply(local_request);
-  RewriteReplyJob(shard, reply);  // also rewrites a not_found's message
-  return reply;
-}
-
-JsonValue ShardRouter::MergedClusterStats(const JsonValue& request) const {
-  JsonValue merged;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
-      JsonValue reply = ErrorReply("unavailable", "service is stopped");
-      EchoSeq(request, reply);
-      return reply;
-    }
-    JsonValue piece = SnapshotClusterStatsReply(*snap);
-    if (k == 0) {
-      merged = std::move(piece);
-    } else {
-      MergeNumeric(merged, piece);
-    }
-  }
-  front()->CountRead();
-  EchoSeq(request, merged);
-  if (federated()) {
-    const FedLedger ledger = LedgerCopy();
-    JsonValue clusters = JsonValue::MakeArray();
-    for (int c = 0; c < cluster_count(); ++c) {
-      clusters.Append(ClusterInfo(c, ledger));
-    }
-    merged.Set("federation", std::move(clusters));
-  }
-  return merged;
-}
-
-JsonValue ShardRouter::MergedMetrics(const JsonValue& request) const {
-  JsonValue engine;
-  double time = 0.0, metrics_time = 0.0, command_log = 0.0;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
-      JsonValue reply = ErrorReply("unavailable", "service is stopped");
-      EchoSeq(request, reply);
-      return reply;
-    }
-    time = std::max(time, snap->time);
-    metrics_time = std::max(metrics_time, snap->metrics_time);
-    command_log += static_cast<double>(snap->command_log_size);
-    const JsonValue piece = snap->engine_metrics != nullptr
-                                ? *snap->engine_metrics
-                                : JsonValue::MakeNull();
-    if (k == 0) {
-      engine = piece;
-    } else {
-      MergeNumeric(engine, piece);
-    }
-  }
-  const SchedulerService::Stats stats = AggregateStats();
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(time));
-  reply.Set("engine", std::move(engine));
-  JsonValue service = JsonValue::MakeObject();
-  service.Set("commands_applied", JsonValue::MakeNumber(
-                                      static_cast<double>(stats.commands_applied)));
-  service.Set("jobs_submitted",
-              JsonValue::MakeNumber(static_cast<double>(stats.jobs_submitted)));
-  service.Set("jobs_cancelled",
-              JsonValue::MakeNumber(static_cast<double>(stats.jobs_cancelled)));
-  service.Set("rejected_overload",
-              JsonValue::MakeNumber(static_cast<double>(stats.rejected_overload)));
-  service.Set("command_errors",
-              JsonValue::MakeNumber(static_cast<double>(stats.command_errors)));
-  service.Set("reads_served",
-              JsonValue::MakeNumber(static_cast<double>(stats.reads_served)));
-  service.Set("snapshots_published",
-              JsonValue::MakeNumber(
-                  static_cast<double>(stats.snapshots_published)));
-  service.Set("queue_depth",
-              JsonValue::MakeNumber(static_cast<double>(stats.queue_depth)));
-  service.Set("queue_peak",
-              JsonValue::MakeNumber(static_cast<double>(stats.queue_peak)));
-  service.Set("command_log", JsonValue::MakeNumber(command_log));
-  service.Set("driver", JsonValue::MakeString(front()->driver_name()));
-  service.Set("shards",
-              JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  reply.Set("service", std::move(service));
-  reply.Set("metrics_time", JsonValue::MakeNumber(metrics_time));
-  front()->CountRead();
-  EchoSeq(request, reply);
-  return reply;
-}
-
-JsonValue ShardRouter::MergedPing(const JsonValue& request) const {
-  JsonValue shards = JsonValue::MakeArray();
-  double time = 0.0, virtual_time = 0.0, snapshot_seq = 0.0;
-  double commands_applied = 0.0;
-  for (int k = 0; k < shard_count(); ++k) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[k]->snapshot();
-    if (snap == nullptr || shards_[k]->stopped()) {
-      JsonValue reply = ErrorReply("unavailable", "service is stopped");
-      EchoSeq(request, reply);
-      return reply;
-    }
-    const SchedulerService::Stats stats = shards_[k]->stats();
-    const double shard_virtual = shards_[k]->driver()->Now();
-    time = std::max(time, snap->time);
-    virtual_time = std::max(virtual_time, shard_virtual);
-    snapshot_seq = std::max(snapshot_seq, static_cast<double>(snap->version));
-    commands_applied += static_cast<double>(stats.commands_applied);
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
-    entry.Set("commands_applied",
-              JsonValue::MakeNumber(static_cast<double>(stats.commands_applied)));
-    entry.Set("snapshot_seq",
-              JsonValue::MakeNumber(static_cast<double>(snap->version)));
-    entry.Set("virtual_time", JsonValue::MakeNumber(shard_virtual));
-    shards.Append(std::move(entry));
-  }
-  JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(time));
-  reply.Set("virtual_time", JsonValue::MakeNumber(virtual_time));
-  reply.Set("driver", JsonValue::MakeString(front()->driver_name()));
-  reply.Set("uptime_s", JsonValue::MakeNumber(front()->UptimeSeconds()));
-  reply.Set("commands_applied", JsonValue::MakeNumber(commands_applied));
-  reply.Set("snapshot_seq", JsonValue::MakeNumber(snapshot_seq));
-  reply.Set("scheduler",
-            JsonValue::MakeString(front()->options().engine.scheduler));
-  reply.Set("reclaim", JsonValue::MakeString(front()->options().engine.reclaim));
-  reply.Set("shard_count",
-            JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  reply.Set("shards", std::move(shards));
-  front()->CountRead();
-  EchoSeq(request, reply);
-  return reply;
-}
-
-JsonValue ShardRouter::MergedStatsProm(const JsonValue& request) const {
-  if (front()->snapshot() == nullptr || front()->stopped()) {
-    JsonValue reply = ErrorReply("unavailable", "service is stopped");
-    EchoSeq(request, reply);
-    return reply;
-  }
-  JsonValue reply = OkReply();
-  reply.Set("text", JsonValue::MakeString(RenderPromText()));
-  front()->CountRead();
-  EchoSeq(request, reply);
-  return reply;
+  return ReadFleet(shards_, request, federated() ? this : nullptr);
 }
 
 std::string ShardRouter::RenderPromText() const {
-  std::string text = RenderPrometheus(*this);
-  if (!federated()) {
-    return text;
-  }
-  const FedLedger ledger = LedgerCopy();
-  std::vector<ClusterTally> tallies;
-  for (int c = 0; c < cluster_count(); ++c) {
-    tallies.push_back(TallyCluster(c));
-  }
-  char buf[64];
-  const auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  const auto label = [this](int c) {
-    return "{cluster=\"" + clusters_[static_cast<std::size_t>(c)].name + "\"";
-  };
-
-  text += "# HELP lyra_fed_clusters Clusters in the federation.\n";
-  text += "# TYPE lyra_fed_clusters gauge\n";
-  text += "lyra_fed_clusters " + num(cluster_count()) + "\n";
-  text += "# HELP lyra_fed_cluster_info Cluster identity (value is always 1).\n";
-  text += "# TYPE lyra_fed_cluster_info gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    text += "lyra_fed_cluster_info" + label(c) + ",kind=\"" +
-            ClusterKindName(clusters_[static_cast<std::size_t>(c)].kind) +
-            "\"} 1\n";
-  }
-  text += "# HELP lyra_fed_jobs Jobs by cluster and state.\n";
-  text += "# TYPE lyra_fed_jobs gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    for (std::size_t s = 0; s < tallies[c].states.size(); ++s) {
-      text += "lyra_fed_jobs" + label(c) + ",state=\"" + kJobStates[s] +
-              "\"} " + num(static_cast<double>(tallies[c].states[s])) + "\n";
-    }
-  }
-  text += "# HELP lyra_fed_gpus GPUs by cluster and pool counter.\n";
-  text += "# TYPE lyra_fed_gpus gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    text += "lyra_fed_gpus" + label(c) + ",pool=\"total\"} " +
-            num(tallies[c].pool.total_gpus) + "\n";
-    text += "lyra_fed_gpus" + label(c) + ",pool=\"free\"} " +
-            num(tallies[c].pool.free_gpus) + "\n";
-  }
-  text += "# HELP lyra_fed_gpus_loaned GPUs currently lent out, by lender.\n";
-  text += "# TYPE lyra_fed_gpus_loaned gauge\n";
-  text +=
-      "# HELP lyra_fed_gpus_borrowed GPUs currently borrowed, by borrower.\n";
-  text += "# TYPE lyra_fed_gpus_borrowed gauge\n";
-  for (int c = 0; c < cluster_count(); ++c) {
-    const auto cluster = static_cast<std::uint32_t>(c);
-    text += "lyra_fed_gpus_loaned" + label(c) + "} " +
-            num(static_cast<double>(LoanedBy(ledger, cluster))) + "\n";
-    text += "lyra_fed_gpus_borrowed" + label(c) + "} " +
-            num(static_cast<double>(BorrowedBy(ledger, cluster))) + "\n";
-  }
-  text += "# HELP lyra_fed_loans_active Outstanding cross-cluster loans.\n";
-  text += "# TYPE lyra_fed_loans_active gauge\n";
-  text += "lyra_fed_loans_active " +
-          num(static_cast<double>(ledger.loans.size())) + "\n";
-  text += "# HELP lyra_fed_loans_granted_total GPUs ever granted.\n";
-  text += "# TYPE lyra_fed_loans_granted_total counter\n";
-  text += "lyra_fed_loans_granted_total " +
-          num(static_cast<double>(ledger.total_granted)) + "\n";
-  text += "# HELP lyra_fed_loans_reclaimed_total GPUs ever reclaimed.\n";
-  text += "# TYPE lyra_fed_loans_reclaimed_total counter\n";
-  text += "lyra_fed_loans_reclaimed_total " +
-          num(static_cast<double>(ledger.total_reclaimed)) + "\n";
-  text += "# HELP lyra_fed_loans_returned_total GPUs ever returned.\n";
-  text += "# TYPE lyra_fed_loans_returned_total counter\n";
-  text += "lyra_fed_loans_returned_total " +
-          num(static_cast<double>(ledger.total_returned)) + "\n";
-  return text;
+  return RenderPrometheus(shards_, federated() ? this : nullptr);
 }
 
-JsonValue ShardRouter::MergedTraceDump(const JsonValue& request) const {
-  const std::string path = request.GetString("path");
-  if (path.empty()) {
-    return front()->ReadReply(request);  // standard invalid_argument reply
-  }
-  double spans = 0.0;
-  for (int k = 0; k < shard_count(); ++k) {
-    const StatusOr<std::size_t> dumped =
-        shards_[k]->DumpFlightRecorder(EnginePath(path, k));
-    if (!dumped.ok()) {
-      front()->CountProtocolError();
-      JsonValue reply = StatusReply(dumped.status());
-      EchoSeq(request, reply);
-      return reply;
-    }
-    spans += static_cast<double>(dumped.value());
-  }
-  JsonValue reply = OkReply();
-  reply.Set("path", JsonValue::MakeString(path));
-  reply.Set("spans", JsonValue::MakeNumber(spans));
-  reply.Set("shards", JsonValue::MakeNumber(static_cast<double>(shard_count())));
-  front()->CountRead();
-  EchoSeq(request, reply);
-  return reply;
+StateSnapshot ShardRouter::SumCluster(const Snapshots& snaps, int c) const {
+  return SumSnapshots(std::span(snaps).subspan(
+      static_cast<std::size_t>(cluster_first_engine(c)),
+      static_cast<std::size_t>(clusters_[static_cast<std::size_t>(c)].shards)));
 }
 
-ShardRouter::ClusterTally ShardRouter::TallyCluster(int c) const {
-  const bool inference =
-      clusters_[static_cast<std::size_t>(c)].kind == ClusterKind::kInference;
-  ClusterTally tally;
-  for (const std::uint32_t e : cluster_engines_[static_cast<std::size_t>(c)]) {
-    const std::shared_ptr<const StateSnapshot> snap = shards_[e]->snapshot();
-    if (snap == nullptr) {
-      continue;
-    }
-    for (std::size_t s = 0; s < tally.states.size(); ++s) {
-      tally.states[s] += snap->state_counts[s];
-    }
-    const PoolCounters& from = inference ? snap->inference : snap->training;
-    tally.pool.servers += from.servers;
-    tally.pool.total_gpus += from.total_gpus;
-    tally.pool.used_gpus += from.used_gpus;
-    tally.pool.free_gpus += from.free_gpus;
-  }
-  return tally;
+const PoolCounters& ShardRouter::OwnPool(const StateSnapshot& sum,
+                                         int c) const {
+  return clusters_[static_cast<std::size_t>(c)].kind == ClusterKind::kInference
+             ? sum.inference
+             : sum.training;
 }
 
 std::vector<LoanBroker::ClusterSignal> ShardRouter::CollectSignals() const {
+  const Snapshots snaps = LoadSnapshots(shards_);
   std::vector<LoanBroker::ClusterSignal> signals;
   signals.reserve(clusters_.size());
   for (int c = 0; c < cluster_count(); ++c) {
     const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-    const ClusterTally tally = TallyCluster(c);
+    const StateSnapshot sum = SumCluster(snaps, c);
     LoanBroker::ClusterSignal signal;
     signal.kind = spec.kind;
     signal.loan_priority = spec.loan_priority;
-    signal.total_gpus = tally.pool.total_gpus;
-    signal.free_gpus = tally.pool.free_gpus;
+    signal.total_gpus = OwnPool(sum, c).total_gpus;
+    signal.free_gpus = OwnPool(sum, c).free_gpus;
     if (spec.kind == ClusterKind::kTraining) {
-      signal.pending_jobs = static_cast<std::int64_t>(tally.states[0]);
+      signal.pending_jobs = static_cast<std::int64_t>(sum.state_counts[0]);
     }
     signals.push_back(signal);
   }
   return signals;
 }
 
-double ShardRouter::MaxEngineTime() const {
-  double time = 0.0;
-  for (const SchedulerService* shard : shards_) {
-    const std::shared_ptr<const StateSnapshot> snap = shard->snapshot();
-    if (snap != nullptr) {
-      time = std::max(time, snap->time);
-    }
-  }
-  return time;
-}
-
-JsonValue ShardRouter::ClusterInfo(int c, const FedLedger& ledger) const {
+JsonValue ShardRouter::ClusterInfo(int c, const FedLedger& ledger,
+                                   const Snapshots& snaps) const {
   const ClusterSpec& spec = clusters_[static_cast<std::size_t>(c)];
-  const ClusterTally tally = TallyCluster(c);
+  const StateSnapshot sum = SumCluster(snaps, c);
+  const PoolCounters& pool = OwnPool(sum, c);
   JsonValue info = JsonValue::MakeObject();
   info.Set("cluster", JsonValue::MakeNumber(static_cast<double>(c)));
   info.Set("name", JsonValue::MakeString(spec.name));
@@ -1097,18 +744,15 @@ JsonValue ShardRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   info.Set("first_engine", JsonValue::MakeNumber(static_cast<double>(
                                cluster_first_engine(c))));
   JsonValue jobs = JsonValue::MakeObject();
-  for (std::size_t s = 0; s < tally.states.size(); ++s) {
-    jobs.Set(kJobStates[s],
-             JsonValue::MakeNumber(static_cast<double>(tally.states[s])));
+  for (std::size_t s = 0; s < sum.state_counts.size(); ++s) {
+    jobs.Set(kJobStateNames[s],
+             JsonValue::MakeNumber(static_cast<double>(sum.state_counts[s])));
   }
   info.Set("jobs", std::move(jobs));
   JsonValue gpus = JsonValue::MakeObject();
-  gpus.Set("total",
-           JsonValue::MakeNumber(static_cast<double>(tally.pool.total_gpus)));
-  gpus.Set("used",
-           JsonValue::MakeNumber(static_cast<double>(tally.pool.used_gpus)));
-  gpus.Set("free",
-           JsonValue::MakeNumber(static_cast<double>(tally.pool.free_gpus)));
+  gpus.Set("total", JsonValue::MakeNumber(static_cast<double>(pool.total_gpus)));
+  gpus.Set("used", JsonValue::MakeNumber(static_cast<double>(pool.used_gpus)));
+  gpus.Set("free", JsonValue::MakeNumber(static_cast<double>(pool.free_gpus)));
   info.Set("gpus", std::move(gpus));
   const auto cluster = static_cast<std::uint32_t>(c);
   info.Set("loaned", JsonValue::MakeNumber(
@@ -1118,14 +762,16 @@ JsonValue ShardRouter::ClusterInfo(int c, const FedLedger& ledger) const {
   return info;
 }
 
-JsonValue ShardRouter::FederationStats(const JsonValue& request) const {
-  for (int k = 0; k < shard_count(); ++k) {
-    if (shard(k)->snapshot() == nullptr || shard(k)->stopped()) {
-      JsonValue reply = ErrorReply("unavailable", "service is stopped");
-      EchoSeq(request, reply);
-      return reply;
-    }
+JsonValue ShardRouter::ClusterArray(const Snapshots& snaps) const {
+  const FedLedger ledger = LedgerCopy();
+  JsonValue clusters = JsonValue::MakeArray();
+  for (int c = 0; c < cluster_count(); ++c) {
+    clusters.Append(ClusterInfo(c, ledger, snaps));
   }
+  return clusters;
+}
+
+JsonValue ShardRouter::FederationStats(const Snapshots& snaps) const {
   FedLedger ledger;
   std::vector<std::string> events;
   {
@@ -1135,14 +781,14 @@ JsonValue ShardRouter::FederationStats(const JsonValue& request) const {
   }
 
   JsonValue reply = OkReply();
-  reply.Set("time", JsonValue::MakeNumber(MaxEngineTime()));
+  reply.Set("time", JsonValue::MakeNumber(SumSnapshots(snaps).time));
   reply.Set("submit_seq",
             JsonValue::MakeNumber(static_cast<double>(submit_seq())));
   reply.Set("shards",
             JsonValue::MakeNumber(static_cast<double>(shard_count())));
   JsonValue clusters = JsonValue::MakeArray();
   for (int c = 0; c < cluster_count(); ++c) {
-    clusters.Append(ClusterInfo(c, ledger));
+    clusters.Append(ClusterInfo(c, ledger, snaps));
   }
   reply.Set("clusters", std::move(clusters));
 
@@ -1181,9 +827,6 @@ JsonValue ShardRouter::FederationStats(const JsonValue& request) const {
   }
   broker.Set("events", std::move(recent));
   reply.Set("broker", std::move(broker));
-
-  front()->CountRead();
-  EchoSeq(request, reply);
   return reply;
 }
 
@@ -1209,7 +852,8 @@ void ShardRouter::RestoreLedger(const FedLedger& ledger) {
 
 void ShardRouter::ReconcileBroker() {
   std::lock_guard<std::mutex> lock(broker_mu_);
-  broker_.Reconcile(MaxEngineTime(), clusters_.size());
+  broker_.Reconcile(SumSnapshots(LoadSnapshots(shards_)).time,
+                    clusters_.size());
 }
 
 JsonValue ShardRouter::Execute(const JsonValue& request) {
@@ -1223,7 +867,7 @@ JsonValue ShardRouter::Execute(const JsonValue& request) {
   plan.shed = false;
   JsonValue mutable_request = request;
   const std::uint32_t shard = BeginEngine(tcmd, mutable_request, plan);
-  auto waiter = std::make_shared<WaitSink>();
+  auto waiter = std::make_shared<SchedulerService::WaitSink>();
   DispatchEngine(plan, shard, std::move(mutable_request), waiter, 0, 0);
   JsonValue reply = waiter->Wait();
   if (plan.rewrite_job) {
@@ -1250,20 +894,7 @@ std::size_t ShardRouter::QueueDepthHint() const {
 }
 
 SchedulerService::Stats ShardRouter::AggregateStats() const {
-  SchedulerService::Stats total;
-  for (const SchedulerService* shard : shards_) {
-    const SchedulerService::Stats stats = shard->stats();
-    total.commands_applied += stats.commands_applied;
-    total.jobs_submitted += stats.jobs_submitted;
-    total.jobs_cancelled += stats.jobs_cancelled;
-    total.rejected_overload += stats.rejected_overload;
-    total.command_errors += stats.command_errors;
-    total.reads_served += stats.reads_served;
-    total.snapshots_published += stats.snapshots_published;
-    total.queue_depth += stats.queue_depth;
-    total.queue_peak = std::max(total.queue_peak, stats.queue_peak);
-  }
-  return total;
+  return SumStats(shards_);
 }
 
 namespace {

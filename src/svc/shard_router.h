@@ -31,9 +31,9 @@
 //   - Job ids returned to clients are global: G = local * E + engine, so
 //     engine = G mod E and the id carries its own route. At E == 1 global
 //     and local coincide.
-//   - cluster_stats / metrics / ping / stats_prom merge the per-engine
-//     snapshots and telemetry registries at read time, RCU-style, off the
-//     engine threads.
+//   - Every read goes through ReadFleet (reads.h) over the engine list, the
+//     plain service's one path, with this router as the federation layer
+//     when there are two or more clusters.
 //   - advance / drain / snapshot / shutdown fan out to every engine with a
 //     completion barrier; `snapshot` gathers the per-engine LYRASNAP images
 //     into one container (snapshot.h) together with the submit counter:
@@ -66,6 +66,7 @@
 #include "src/common/status.h"
 #include "src/svc/federation.h"
 #include "src/svc/service.h"
+#include "src/svc/state_snapshot.h"
 
 namespace lyra::svc {
 
@@ -121,7 +122,7 @@ class ShardRouter {
     bool shed = false;         // target saturated: answer canned, enqueue nothing
     bool fanout = false;       // barrier command (advance/drain/snapshot/shutdown)
     bool rewrite_job = false;  // reply "job" needs the local->global rewrite
-    bool reject = false;       // invalid target: DispatchEngine answers inline
+    bool reject = false;       // invalid target or negative job id: answered inline
     bool migrate = false;      // federation migrate: cancel/resubmit chain
     std::uint32_t shard = 0;   // advisory target (authoritative after Begin)
   };
@@ -153,16 +154,23 @@ class ShardRouter {
 
   // --- Reads ------------------------------------------------------------
 
-  // Merged read-only answer. One engine delegates to it byte-for-byte;
-  // otherwise query_job routes by id, cluster_stats/metrics/ping merge the
-  // per-engine snapshots, stats_prom renders the merged exposition,
-  // trace_dump writes per-engine trace files, and a federation answers
-  // federation_stats.
+  // ReadFleet over the engines, with this router as the federation layer
+  // in a federation.
   JsonValue ReadReply(const JsonValue& request) const;
 
   // The Prometheus exposition the /metrics endpoint and stats_prom serve; a
   // federation appends cluster-labeled lyra_fed_* families.
   std::string RenderPromText() const;
+
+  // The federation layer of the reads, over `snaps` (one per engine):
+  // cluster c's engines' snapshots summed, and its own pool in that sum
+  // (inference clusters serve from the inference pool, training clusters
+  // from the training pool); cluster_stats' "federation" array; and the
+  // federation_stats reply.
+  StateSnapshot SumCluster(const Snapshots& snaps, int c) const;
+  const PoolCounters& OwnPool(const StateSnapshot& sum, int c) const;
+  JsonValue ClusterArray(const Snapshots& snaps) const;
+  JsonValue FederationStats(const Snapshots& snaps) const;
 
   // Synchronous convenience for tools and tests (mirrors
   // SchedulerService::Execute, including reply-id rewrites and barriers).
@@ -217,19 +225,9 @@ class ShardRouter {
 
  private:
   class FanoutSink;
-  class WaitSink;
   class MigrationSink;
-  struct ClusterTally;
 
   bool federated() const { return clusters_.size() > 1; }
-
-  JsonValue MergedClusterStats(const JsonValue& request) const;
-  JsonValue MergedMetrics(const JsonValue& request) const;
-  JsonValue MergedPing(const JsonValue& request) const;
-  JsonValue MergedStatsProm(const JsonValue& request) const;
-  JsonValue MergedTraceDump(const JsonValue& request) const;
-  JsonValue QueryJob(const JsonValue& request) const;
-  JsonValue FederationStats(const JsonValue& request) const;
 
   // Merges the N fanout replies into the client's one (called by the last
   // shard to complete, on its engine thread). Barrier merges are strictly
@@ -257,15 +255,11 @@ class ShardRouter {
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
 
-  // Cluster c's job-state counts and own pool (inference or training),
-  // summed over its engines' published snapshots: the one walk behind
-  // federation_stats, the lyra_fed_* exposition, and the broker signals.
-  ClusterTally TallyCluster(int c) const;
   // Per-cluster stats object (jobs by state, pools, loan balance) shared by
   // federation_stats and the cluster_stats federation array.
-  JsonValue ClusterInfo(int c, const FedLedger& ledger) const;
+  JsonValue ClusterInfo(int c, const FedLedger& ledger,
+                        const Snapshots& snaps) const;
   std::vector<LoanBroker::ClusterSignal> CollectSignals() const;
-  double MaxEngineTime() const;
 
   std::vector<SchedulerService*> shards_;
   std::atomic<std::uint64_t> submit_seq_{0};

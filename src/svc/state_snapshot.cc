@@ -9,20 +9,6 @@
 namespace lyra::svc {
 namespace {
 
-const char* JobStateName(JobState state) {
-  switch (state) {
-    case JobState::kPending:
-      return "pending";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kFinished:
-      return "finished";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 JobRecord RecordOf(const Job& job) {
   JobRecord record;
   record.spec = job.spec();
@@ -124,14 +110,45 @@ std::shared_ptr<const StateSnapshot> SnapshotBuilder::Publish(
   return snapshot;
 }
 
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id) {
-  const JobRecord* job = snap.FindJob(id);
+StateSnapshot SumSnapshots(
+    std::span<const std::shared_ptr<const StateSnapshot>> snaps) {
+  StateSnapshot sum;
+  const auto add = [](PoolCounters& into, const PoolCounters& from) {
+    into.servers += from.servers;
+    into.total_gpus += from.total_gpus;
+    into.used_gpus += from.used_gpus;
+    into.free_gpus += from.free_gpus;
+  };
+  for (const auto& snap : snaps) {
+    if (snap == nullptr) {
+      continue;
+    }
+    sum.version = std::max(sum.version, snap->version);
+    sum.time = std::max(sum.time, snap->time);
+    sum.metrics_time = std::max(sum.metrics_time, snap->metrics_time);
+    sum.events_processed += snap->events_processed;
+    sum.job_count += snap->job_count;
+    sum.command_log_size += snap->command_log_size;
+    for (std::size_t s = 0; s < sum.state_counts.size(); ++s) {
+      sum.state_counts[s] += snap->state_counts[s];
+    }
+    add(sum.training, snap->training);
+    add(sum.on_loan, snap->on_loan);
+    add(sum.inference, snap->inference);
+  }
+  return sum;
+}
+
+JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t local,
+                           std::int64_t id) {
+  const JobRecord* job = snap.FindJob(local);
   if (job == nullptr) {
     return ErrorReply("not_found", "no such job: " + std::to_string(id));
   }
   JsonValue reply = OkReply();
   reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
-  reply.Set("state", JsonValue::MakeString(JobStateName(job->state)));
+  reply.Set("state", JsonValue::MakeString(
+                         kJobStateNames[static_cast<std::size_t>(job->state)]));
   reply.Set("submit_time", JsonValue::MakeNumber(job->spec.submit_time));
   reply.Set("gpus_per_worker", JsonValue::MakeNumber(job->spec.gpus_per_worker));
   reply.Set("min_workers", JsonValue::MakeNumber(job->spec.min_workers));
@@ -152,18 +169,10 @@ JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id) {
 JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap) {
   JsonValue jobs = JsonValue::MakeObject();
   jobs.Set("total", JsonValue::MakeNumber(static_cast<double>(snap.job_count)));
-  jobs.Set("pending",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kPending)])));
-  jobs.Set("running",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kRunning)])));
-  jobs.Set("finished",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kFinished)])));
-  jobs.Set("cancelled",
-           JsonValue::MakeNumber(static_cast<double>(
-               snap.state_counts[static_cast<std::size_t>(JobState::kCancelled)])));
+  for (std::size_t s = 0; s < kJobStateNames.size(); ++s) {
+    jobs.Set(kJobStateNames[s],
+             JsonValue::MakeNumber(static_cast<double>(snap.state_counts[s])));
+  }
 
   JsonValue pools = JsonValue::MakeObject();
   pools.Set("training", PoolJson(snap.training));

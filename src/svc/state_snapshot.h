@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/json.h"
@@ -49,6 +50,11 @@ struct JobRecord {
   TimeSec first_start_time = -1.0;
   TimeSec finish_time = -1.0;
 };
+
+// Wire names of the job states, indexed by JobState (and so like
+// StateSnapshot::state_counts).
+inline constexpr std::array<const char*, 4> kJobStateNames = {
+    "pending", "running", "finished", "cancelled"};
 
 struct JobChunk {
   std::vector<JobRecord> records;
@@ -122,10 +128,21 @@ class SnapshotBuilder {
   std::vector<std::size_t> dirty_chunks_;  // scratch, reused across publishes
 };
 
+// One snapshot per engine of a fleet (null where none is published yet).
+using Snapshots = std::vector<std::shared_ptr<const StateSnapshot>>;
+
+// The published snapshots summed into one: time, metrics_time and version
+// take the max; events, job and state counts, command-log sizes and pools
+// add. Null entries are skipped, so a zero version means none was
+// published. Chunks and the metrics export are left empty.
+StateSnapshot SumSnapshots(std::span<const std::shared_ptr<const StateSnapshot>> snaps);
+
 // Read-only reply builders: pure functions of the snapshot, callable from any
 // thread. Field names and order match the historical engine-side handlers
-// byte-for-byte.
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id);
+// byte-for-byte. SnapshotJobReply looks up `local` and names the job `id`,
+// the id the client sent (they differ on a multi-engine fleet).
+JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t local,
+                           std::int64_t id);
 JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap);
 
 }  // namespace lyra::svc

@@ -6,9 +6,10 @@
 // per-engine decision logs, fault-injector log hashes, final engine times,
 // and the broker's loan ledger (rolling hash included). One cut is pinned
 // mid-loan so crash/restore reconciliation of an active loan is always
-// exercised; the sanitized build variant (svc_federation_chaos_sanitized_test)
-// runs the same stream with the router/broker translation unit under
-// ASan+UBSan.
+// exercised. Every op is followed by a read, so the merged reads see every
+// intermediate state; the sanitized build variant
+// (svc_federation_chaos_sanitized_test) runs the same stream with the
+// router, broker and read-path translation units under ASan+UBSan.
 //
 // LYRA_CHAOS_OPS=<n> scales the random op count (default 80).
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -235,8 +237,14 @@ void Collect(const ShardSet& fed, ChaosOutcome& outcome) {
   outcome.ledger = fed.router->LedgerCopy();
 }
 
+// Every op is followed by one read, rotating over the read commands, so the
+// merged reads run against every intermediate fleet state. Reads never touch
+// engine state, so the replay comparison is unaffected.
 void ApplySlice(ShardRouter& router, const ChaosScript& script,
                 std::size_t begin, std::size_t end, const char* label) {
+  static constexpr const char* kReads[] = {"cluster_stats", "metrics", "ping",
+                                           "federation_stats", "stats_prom",
+                                           "query_job"};
   for (std::size_t i = begin; i < end; ++i) {
     const JsonValue reply = router.Execute(script.commands[i]);
     ASSERT_TRUE(reply.GetBool("ok"))
@@ -247,6 +255,11 @@ void ApplySlice(ShardRouter& router, const ChaosScript& script,
           << label << " op " << i << " routed off the mirror: "
           << reply.Dump();
     }
+    JsonValue read = Cmd(kReads[i % std::size(kReads)]);
+    read.Set("job", JsonValue::MakeNumber(reply.GetDouble("job", 0.0)));
+    const JsonValue answer = router.Execute(read);
+    ASSERT_TRUE(answer.GetBool("ok"))
+        << label << " read after op " << i << ": " << answer.Dump();
   }
 }
 

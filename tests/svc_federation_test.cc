@@ -617,6 +617,31 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
 // unsharded SchedulerService, and its snapshot file is the identical
 // LYRASNAP image. A one-cluster spec is a shard fleet, so there is no
 // additive surface: no federation_stats, no lyra_fed_* metrics.
+// A negative id names no job: migrate answers not_found naming the id the
+// client sent instead of aliasing a real job through the id arithmetic
+// (-1 mod 3 is train1's engine, -1 / 3 its job 0), and nothing moves.
+TEST(Federation, MigrateOfANegativeIdIsNotFound) {
+  ShardSet fed = BuildFed("1x2");  // inf0, train0, train1
+  ShardRouter& router = *fed.router;
+  const JsonValue submitted = router.Execute(SubmitTo("train1", 0.0, 7200.0));
+  ASSERT_TRUE(submitted.GetBool("ok")) << submitted.Dump();
+  ASSERT_EQ(submitted.GetDouble("job", -1.0), 2.0);
+  ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+
+  const JsonValue moved = router.Execute(Migrate(-1, "train0"));
+  EXPECT_EQ(moved.GetString("code"), "not_found") << moved.Dump();
+  EXPECT_EQ(moved.GetString("error"), "no such job: -1") << moved.Dump();
+  JsonValue query = Cmd("query_job");
+  query.Set("job", JsonValue::MakeNumber(2.0));
+  const JsonValue job = router.Execute(query);
+  ASSERT_TRUE(job.GetBool("ok")) << job.Dump();
+  EXPECT_NE(job.GetString("state"), "cancelled") << job.Dump();
+  for (const std::string& event : router.RecentEvents()) {
+    EXPECT_EQ(event.find("migrate"), std::string::npos) << event;
+  }
+  StopFed(fed);
+}
+
 TEST(Federation, SingleClusterFederationMatchesPlainServiceByteForByte) {
   const auto script = [](double snapshot_at) {
     std::vector<JsonValue> commands;
