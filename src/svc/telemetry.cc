@@ -1,6 +1,7 @@
 #include "src/svc/telemetry.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace lyra::svc {
 namespace {
@@ -24,8 +25,10 @@ const char* TelemetryCmdName(TelemetryCmd cmd) {
 
 TelemetryCmd TelemetryCmdFromName(const std::string& name) {
   // Only wire commands resolve by name; the engine span kinds are internal.
+  // Every command is classified through here; string_view equality checks
+  // the lengths before any byte, which keeps the scan cheap.
   for (int i = 0; i < kTelemetryWireCmdCount; ++i) {
-    if (name == kCmdNames[i]) {
+    if (std::string_view(name) == std::string_view(kCmdNames[i])) {
       return static_cast<TelemetryCmd>(i);
     }
   }
