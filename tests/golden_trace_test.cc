@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -54,9 +56,26 @@ std::string SummaryLine(const std::string& label, const SimulationResult& r) {
   return out.str();
 }
 
-// The golden slice: one representative row per table-5 group, at a reduced
-// but non-trivial scale (22 training + 26 inference servers, 2 days).
-// Pollux is excluded to keep the test fast.
+// The matrix lines also pin how many finished jobs ever ran on an on-loan
+// server (Table 7's attribution), which the placement-derived fields above
+// do not cover.
+std::string MatrixLine(const std::string& label, const SimulationResult& r) {
+  return SummaryLine(label, r) +
+         " on_loan=" + std::to_string(r.queuing_on_loan_samples.size()) + "," +
+         std::to_string(r.jct_on_loan_samples.size());
+}
+
+// The golden slice, at a reduced but non-trivial scale (22 training + 26
+// inference servers, 2 days):
+//   - one representative row per table-5 group (the original five lines);
+//   - every scheduler of the service registry x the lyra/random/scf reclaim
+//     policies with loaning on, so both placers and every reclaim path are
+//     pinned;
+//   - the optimal reclaim policy on a tiny trace (its search is exponential);
+//   - a heterogeneous-job scenario for Lyra and FIFO (the mixed-pool paths);
+//   - one row with every fault class on.
+// The learned scheduler drives an untrained policy built from a fixed seed,
+// so the row needs no weights file.
 std::string GoldenReport() {
   ExperimentConfig config;
   config.scale = 0.05;
@@ -78,11 +97,76 @@ std::string GoldenReport() {
   add("loaning/Random", SchedulerKind::kLyraNoElastic, ReclaimKind::kRandom, true);
   add("scaling/AFS", SchedulerKind::kAfs, ReclaimKind::kLyra, false);
 
+  const std::size_t table5_rows = runs.size();
+
+  rl::PolicyOptions policy_options;
+  policy_options.seed = 7;
+  const auto policy = std::make_shared<const rl::PolicyNet>(policy_options);
+  const std::pair<const char*, SchedulerKind> schedulers[] = {
+      {"afs", SchedulerKind::kAfs},
+      {"fifo", SchedulerKind::kFifo},
+      {"gandiva", SchedulerKind::kGandiva},
+      {"learned", SchedulerKind::kLearned},
+      {"lyra", SchedulerKind::kLyra},
+      {"opportunistic", SchedulerKind::kOpportunistic},
+      {"pollux", SchedulerKind::kPollux},
+      {"sjf", SchedulerKind::kSjf},
+  };
+  const std::pair<const char*, ReclaimKind> reclaims[] = {
+      {"lyra", ReclaimKind::kLyra},
+      {"random", ReclaimKind::kRandom},
+      {"scf", ReclaimKind::kScf},
+  };
+  for (const auto& [scheduler_name, scheduler] : schedulers) {
+    for (const auto& [reclaim_name, reclaim] : reclaims) {
+      RunSpec spec;
+      spec.scheduler = scheduler;
+      spec.reclaim = reclaim;
+      spec.loaning = true;
+      spec.policy = policy;
+      runs.push_back({std::string("matrix/") + scheduler_name + "+" + reclaim_name,
+                      config, spec});
+    }
+  }
+
+  ExperimentConfig tiny = config;
+  tiny.scale = 0.02;
+  tiny.days = 1.0;
+  RunSpec optimal;
+  optimal.scheduler = SchedulerKind::kLyra;
+  optimal.reclaim = ReclaimKind::kOptimal;
+  optimal.loaning = true;
+  runs.push_back({"tiny/lyra+optimal", tiny, optimal});
+
+  ExperimentConfig hetero = config;
+  hetero.heterogeneous_fraction = 0.3;
+  for (const auto& [name, scheduler] :
+       {std::pair<const char*, SchedulerKind>{"lyra", SchedulerKind::kLyra},
+        std::pair<const char*, SchedulerKind>{"fifo", SchedulerKind::kFifo}}) {
+    RunSpec spec;
+    spec.scheduler = scheduler;
+    spec.loaning = true;
+    runs.push_back({std::string("hetero/") + name, hetero, spec});
+  }
+
+  RunSpec faulty;
+  faulty.scheduler = SchedulerKind::kLyra;
+  faulty.loaning = true;
+  faulty.faults.enabled = true;
+  faulty.faults.seed = 43;
+  faulty.faults.server_mtbf = 6 * kHour;
+  faulty.faults.server_mttr = kHour;
+  faulty.faults.worker_mtbf = 2 * kHour;
+  faulty.faults.storm_mtbf = 6 * kHour;
+  faulty.faults.straggler_mtbf = 3 * kHour;
+  runs.push_back({"faults/lyra", config, faulty});
+
   const std::vector<SimulationResult> results = RunExperiments(runs);
 
   std::string report;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    report += SummaryLine(runs[i].label, results[i]);
+    report += i < table5_rows ? SummaryLine(runs[i].label, results[i])
+                              : MatrixLine(runs[i].label, results[i]);
     report += "\n";
   }
   return report;
