@@ -32,20 +32,56 @@ ClusterState ClusterState::Clone() const {
   ClusterState copy;
   copy.servers_ = servers_;
   copy.placements_ = placements_;
-  copy.total_gpus_ = total_gpus_;
-  copy.used_gpus_ = used_gpus_;
-  copy.free_gpus_by_type_ = free_gpus_by_type_;
+  copy.tally_ = tally_;
   copy.pool_servers_ = pool_servers_;
+  copy.changed_jobs_ = changed_jobs_;
+  copy.changed_ = changed_;
   copy.servers_down_ = servers_down_;
   return copy;
+}
+
+void ClusterState::Tally::Grow(const Server& srv) {
+  const int num_servers = static_cast<int>(srv.id().value) + 1;
+  const std::size_t levels =
+      std::max(by_free[0].size(), static_cast<std::size_t>(srv.num_gpus()) + 1);
+  for (int pool = 0; pool < kNumPools; ++pool) {
+    by_free[pool].resize(levels);
+    for (ServerBitset& level : by_free[pool]) {
+      level.Resize(num_servers);
+    }
+    for (std::vector<int>& counts : count_by_free[pool]) {
+      counts.resize(levels);
+    }
+  }
+  idle.Resize(num_servers);
+  has_base.Resize(num_servers);
+  has_flexible.Resize(num_servers);
+}
+
+void ClusterState::Tally::Apply(const Server& srv, int sign) {
+  const bool add = sign > 0;
+  idle.Set(srv.id(), add && srv.idle());
+  has_base.Set(srv.id(), add && srv.HasBaseGpus());
+  has_flexible.Set(srv.id(), add && srv.HasFlexibleGpus());
+  if (!srv.up()) {
+    return;  // a down server's capacity is in no pool (MarkServerDown)
+  }
+  const int pool = PoolIndex(srv.pool());
+  const int type = TypeIndex(srv.gpu_type());
+  const auto free = static_cast<std::size_t>(srv.free_gpus());
+  total_gpus[pool] += sign * srv.num_gpus();
+  used_gpus[pool] += sign * srv.used_gpus();
+  free_gpus_by_type[pool][type] += sign * srv.free_gpus();
+  by_free[pool][free].Set(srv.id(), add);
+  count_by_free[pool][type][free] += sign;
 }
 
 ServerId ClusterState::AddServer(GpuType gpu_type, int num_gpus, ServerPool pool) {
   LYRA_CHECK(txn_depth_ == 0);  // topology growth is not transactional
   const ServerId id(static_cast<std::int64_t>(servers_.size()));
-  servers_.emplace_back(id, gpu_type, num_gpus, pool);
-  total_gpus_[PoolIndex(pool)] += num_gpus;
-  free_gpus_by_type_[PoolIndex(pool)][TypeIndex(gpu_type)] += num_gpus;
+  const Server& srv = servers_.emplace_back(id, gpu_type, num_gpus, pool);
+  tally_.Grow(srv);
+  tally_.Apply(srv, +1);
   PoolInsert(pool, id);
   return id;
 }
@@ -78,22 +114,28 @@ void ClusterState::PoolErase(ServerPool pool, ServerId id) {
   members.erase(it);
 }
 
-void ClusterState::MoveServerCounters(const Server& srv, ServerPool from,
-                                      ServerPool to) {
-  const int type = TypeIndex(srv.gpu_type());
-  total_gpus_[PoolIndex(from)] -= srv.num_gpus();
-  total_gpus_[PoolIndex(to)] += srv.num_gpus();
-  used_gpus_[PoolIndex(from)] -= srv.used_gpus();
-  used_gpus_[PoolIndex(to)] += srv.used_gpus();
-  free_gpus_by_type_[PoolIndex(from)][type] -= srv.free_gpus();
-  free_gpus_by_type_[PoolIndex(to)][type] += srv.free_gpus();
-  PoolErase(from, srv.id());
+void ClusterState::MoveServer(Server& srv, ServerPool to) {
+  PoolErase(srv.pool(), srv.id());
+  Update(srv, [&] { srv.set_pool(to); });
   PoolInsert(to, srv.id());
 }
 
-void ClusterState::AccountUsage(const Server& srv, int gpus) {
-  used_gpus_[PoolIndex(srv.pool())] += gpus;
-  free_gpus_by_type_[PoolIndex(srv.pool())][TypeIndex(srv.gpu_type())] -= gpus;
+void ClusterState::MarkChanged(JobId job) {
+  const auto index = static_cast<std::size_t>(job.value);
+  if (index >= changed_.size()) {
+    changed_.resize(index + 1);
+  }
+  if (changed_[index] == 0) {
+    changed_[index] = 1;
+    changed_jobs_.push_back(job);
+  }
+}
+
+void ClusterState::ClearChangedJobs() {
+  for (JobId job : changed_jobs_) {
+    changed_[static_cast<std::size_t>(job.value)] = 0;
+  }
+  changed_jobs_.clear();
 }
 
 std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
@@ -108,8 +150,8 @@ std::vector<ServerId> ClusterState::TrainingVisibleServers() const {
 void ClusterState::Place(JobId job, ServerId server_id, int gpus, bool flexible) {
   Server& srv = mutable_server(server_id);
   LYRA_CHECK(srv.up());  // down servers are invisible to placement
-  srv.Place(job, gpus, flexible);
-  AccountUsage(srv, gpus);
+  Update(srv, [&] { srv.Place(job, gpus, flexible); });
+  MarkChanged(job);
   GpuShare& share = placements_[job].shares[server_id];
   if (flexible) {
     share.flexible_gpus += gpus;
@@ -128,13 +170,13 @@ void ClusterState::RemoveJob(JobId job) {
   }
   for (const auto& [server_id, share] : it->second.shares) {
     Server& srv = mutable_server(server_id);
-    srv.RemoveJob(job);
-    AccountUsage(srv, -share.total());
+    Update(srv, [&] { srv.RemoveJob(job); });
     if (txn_depth_ > 0) {
       RecordShareDelta(job, server_id, share.base_gpus, share.flexible_gpus);
     }
   }
   placements_.erase(it);
+  MarkChanged(job);
 }
 
 int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
@@ -147,8 +189,11 @@ int ClusterState::RemoveFlexible(JobId job, ServerId server_id, int gpus) {
     return 0;
   }
   Server& srv = mutable_server(server_id);
-  const int removed = srv.RemoveFlexible(job, gpus);
-  AccountUsage(srv, -removed);
+  int removed = 0;
+  Update(srv, [&] { removed = srv.RemoveFlexible(job, gpus); });
+  if (removed > 0) {
+    MarkChanged(job);
+  }
   share_it->second.flexible_gpus -= removed;
   LYRA_CHECK_GE(share_it->second.flexible_gpus, 0);
   if (share_it->second.total() == 0) {
@@ -200,8 +245,7 @@ Status ClusterState::LoanServer(ServerId id) {
   if (srv.pool() != ServerPool::kInference) {
     return Status::FailedPrecondition("server is not in the inference pool");
   }
-  srv.set_pool(ServerPool::kOnLoan);
-  MoveServerCounters(srv, ServerPool::kInference, ServerPool::kOnLoan);
+  MoveServer(srv, ServerPool::kOnLoan);
   if (txn_depth_ > 0) {
     RecordSetPool(id, ServerPool::kInference);
   }
@@ -226,8 +270,7 @@ Status ClusterState::ReturnServer(ServerId id) {
     return Status::FailedPrecondition(
         "server idleness is speculative under an open transaction");
   }
-  srv.set_pool(ServerPool::kInference);
-  MoveServerCounters(srv, ServerPool::kOnLoan, ServerPool::kInference);
+  MoveServer(srv, ServerPool::kInference);
   if (txn_depth_ > 0) {
     RecordSetPool(id, ServerPool::kOnLoan);
   }
@@ -243,11 +286,8 @@ Status ClusterState::MarkServerDown(ServerId id) {
   if (!srv.idle()) {
     return Status::FailedPrecondition("server still has running workers");
   }
-  const int pool = PoolIndex(srv.pool());
-  total_gpus_[pool] -= srv.num_gpus();
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] -= srv.num_gpus();
   PoolErase(srv.pool(), id);
-  srv.set_up(false);
+  Update(srv, [&] { srv.set_up(false); });
   ++servers_down_;
   return Status::Ok();
 }
@@ -259,11 +299,8 @@ Status ClusterState::MarkServerUp(ServerId id) {
     return Status::FailedPrecondition("server is already up");
   }
   LYRA_CHECK(srv.idle());  // nothing can be placed on a down server
-  const int pool = PoolIndex(srv.pool());
-  total_gpus_[pool] += srv.num_gpus();
-  free_gpus_by_type_[pool][TypeIndex(srv.gpu_type())] += srv.num_gpus();
   PoolInsert(srv.pool(), id);
-  srv.set_up(true);
+  Update(srv, [&] { srv.set_up(true); });
   --servers_down_;
   return Status::Ok();
 }
@@ -297,7 +334,7 @@ double ClusterState::TrainingSideFreeNormalized() const {
   double total = 0.0;
   for (ServerPool pool : {ServerPool::kTraining, ServerPool::kOnLoan}) {
     for (int type = 0; type < kNumGpuTypes; ++type) {
-      total += free_gpus_by_type_[PoolIndex(pool)][type] *
+      total += tally_.free_gpus_by_type[PoolIndex(pool)][type] *
                GpuComputeFactor(static_cast<GpuType>(type));
     }
   }
@@ -305,13 +342,14 @@ double ClusterState::TrainingSideFreeNormalized() const {
 }
 
 void ClusterState::AuditInvariants() const {
-  std::array<int, kNumPools> total{};
-  std::array<int, kNumPools> used{};
-  std::array<std::array<int, kNumGpuTypes>, kNumPools> free_by_type{};
+  // Counters, the free-GPU index and the flag sets, recounted from scratch.
+  Tally tally;
   std::array<std::vector<ServerId>, kNumPools> members;
 
   int down = 0;
   for (const Server& srv : servers_) {
+    tally.Grow(srv);
+    tally.Apply(srv, +1);
     if (!srv.up()) {
       // A down server is excluded from every counter and membership list and
       // must have been vacated before it crashed.
@@ -320,20 +358,18 @@ void ClusterState::AuditInvariants() const {
       ++down;
       continue;
     }
-    const int pool = PoolIndex(srv.pool());
-    total[pool] += srv.num_gpus();
-    used[pool] += srv.used_gpus();
-    free_by_type[pool][TypeIndex(srv.gpu_type())] += srv.free_gpus();
-    members[pool].push_back(srv.id());
+    members[PoolIndex(srv.pool())].push_back(srv.id());
 
-    // Server-side per-job shares must sum to the server's used count and be
-    // mirrored exactly in the job-side placement map.
+    // Server-side per-job shares must sum to the server's used (and
+    // flexible) counts and be mirrored exactly in the job-side placement map.
     int server_used = 0;
+    int server_flexible = 0;
     for (const auto& [job, share] : srv.jobs()) {
       LYRA_CHECK_GE(share.base_gpus, 0);
       LYRA_CHECK_GE(share.flexible_gpus, 0);
       LYRA_CHECK_GT(share.total(), 0);
       server_used += share.total();
+      server_flexible += share.flexible_gpus;
       auto it = placements_.find(job);
       LYRA_CHECK(it != placements_.end());
       auto share_it = it->second.shares.find(srv.id());
@@ -342,6 +378,8 @@ void ClusterState::AuditInvariants() const {
       LYRA_CHECK_EQ(share_it->second.flexible_gpus, share.flexible_gpus);
     }
     LYRA_CHECK_EQ(server_used, srv.used_gpus());
+    LYRA_CHECK_EQ(server_flexible > 0, srv.HasFlexibleGpus());
+    LYRA_CHECK_EQ(server_used > server_flexible, srv.HasBaseGpus());
     LYRA_CHECK_LE(srv.used_gpus(), srv.num_gpus());
   }
 
@@ -358,12 +396,8 @@ void ClusterState::AuditInvariants() const {
     }
   }
 
+  LYRA_CHECK(tally == tally_);
   for (int pool = 0; pool < kNumPools; ++pool) {
-    LYRA_CHECK_EQ(total[pool], total_gpus_[pool]);
-    LYRA_CHECK_EQ(used[pool], used_gpus_[pool]);
-    for (int type = 0; type < kNumGpuTypes; ++type) {
-      LYRA_CHECK_EQ(free_by_type[pool][type], free_gpus_by_type_[pool][type]);
-    }
     LYRA_CHECK(members[pool] == pool_servers_[pool]);
     LYRA_CHECK(std::is_sorted(pool_servers_[pool].begin(), pool_servers_[pool].end()));
   }
@@ -394,8 +428,8 @@ void ClusterState::RecordSetPool(ServerId server, ServerPool pool) {
 void ClusterState::ApplyShareDelta(JobId job, ServerId server_id, int base_delta,
                                    int flexible_delta) {
   Server& srv = mutable_server(server_id);
-  srv.ApplyShareDelta(job, base_delta, flexible_delta);
-  AccountUsage(srv, base_delta + flexible_delta);
+  Update(srv, [&] { srv.ApplyShareDelta(job, base_delta, flexible_delta); });
+  MarkChanged(job);
   GpuShare& share = placements_[job].shares[server_id];
   share.base_gpus += base_delta;
   share.flexible_gpus += flexible_delta;
@@ -421,10 +455,8 @@ void ClusterState::RollbackTo(std::size_t mark) {
         break;
       case UndoEntry::Kind::kSetPool: {
         Server& srv = mutable_server(entry.server);
-        const ServerPool current = srv.pool();
-        LYRA_CHECK(current != entry.pool);
-        srv.set_pool(entry.pool);
-        MoveServerCounters(srv, current, entry.pool);
+        LYRA_CHECK(srv.pool() != entry.pool);
+        MoveServer(srv, entry.pool);
         break;
       }
     }

@@ -7,21 +7,13 @@ int Server::JobGpus(JobId job) const {
   return it == jobs_.end() ? 0 : it->second.total();
 }
 
-bool Server::HasFlexibleGpus() const {
-  for (const auto& [job, share] : jobs_) {
-    if (share.flexible_gpus > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Server::Place(JobId job, int gpus, bool flexible) {
   LYRA_CHECK_GT(gpus, 0);
   LYRA_CHECK_LE(gpus, free_gpus());
   GpuShare& share = jobs_[job];
   if (flexible) {
     share.flexible_gpus += gpus;
+    flexible_gpus_ += gpus;
   } else {
     share.base_gpus += gpus;
   }
@@ -32,6 +24,7 @@ void Server::RemoveJob(JobId job) {
   auto it = jobs_.find(job);
   LYRA_CHECK(it != jobs_.end());
   used_gpus_ -= it->second.total();
+  flexible_gpus_ -= it->second.flexible_gpus;
   LYRA_CHECK_GE(used_gpus_, 0);
   jobs_.erase(it);
 }
@@ -45,6 +38,7 @@ int Server::RemoveFlexible(JobId job, int gpus) {
   const int removed = std::min(gpus, it->second.flexible_gpus);
   it->second.flexible_gpus -= removed;
   used_gpus_ -= removed;
+  flexible_gpus_ -= removed;
   if (it->second.total() == 0) {
     jobs_.erase(it);
   }
@@ -58,6 +52,7 @@ void Server::ApplyShareDelta(JobId job, int base_delta, int flexible_delta) {
   LYRA_CHECK_GE(share.base_gpus, 0);
   LYRA_CHECK_GE(share.flexible_gpus, 0);
   used_gpus_ += base_delta + flexible_delta;
+  flexible_gpus_ += flexible_delta;
   LYRA_CHECK_GE(used_gpus_, 0);
   LYRA_CHECK_LE(used_gpus_, num_gpus_);
   if (share.total() == 0) {

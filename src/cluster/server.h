@@ -78,7 +78,10 @@ class Server {
   int JobGpus(JobId job) const;
 
   // True if this server hosts any flexible (elastic beyond-base) GPUs.
-  bool HasFlexibleGpus() const;
+  bool HasFlexibleGpus() const { return flexible_gpus_ > 0; }
+
+  // True if this server hosts any base (gang-scheduled minimum) GPUs.
+  bool HasBaseGpus() const { return used_gpus_ > flexible_gpus_; }
 
   // Adds `gpus` GPUs of the job to this server. Requires capacity.
   void Place(JobId job, int gpus, bool flexible);
@@ -103,6 +106,7 @@ class Server {
   ServerPool pool_;
   bool up_ = true;
   int used_gpus_ = 0;
+  int flexible_gpus_ = 0;  // the flexible part of used_gpus_
   std::map<JobId, GpuShare> jobs_;
 };
 

@@ -1,214 +1,87 @@
 #include "src/lyra/placement.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <tuple>
+#include <vector>
 
-#include "src/common/check.h"
 #include "src/sched/elastic_util.h"
 #include "src/sched/placement_util.h"
 
 namespace lyra {
 namespace {
 
-// A tiered candidate set: servers are considered tier by tier; within a tier
-// best-fit prefers a non-empty server with the least (but sufficient) free
-// GPUs, opening an empty server only when no partially-used one fits.
-struct Candidate {
-  ServerId id;
-  int tier = 0;
-};
-
-constexpr double kCreditEpsilon = 1e-9;
-
-// Nominal-worker capacity of the candidate set: a worker slot on inference
-// GPUs counts its compute factor (capacity normalization, §5.2).
-double TierCapacityWorkers(const ClusterState& cluster, const std::vector<Candidate>& set,
-                           int gpus_per_worker) {
-  double total = 0.0;
-  for (const Candidate& c : set) {
-    const Server& server = cluster.server(c.id);
-    total += (server.free_gpus() / gpus_per_worker) *
-             GpuComputeFactor(server.gpu_type());
-  }
-  return total;
-}
-
-// Places physical workers into the candidate set until `workers` nominal
-// worker credit is reached; returns the credit placed. Placement key per
-// worker: (tier, empty-last, best-fit free GPUs), ties broken by candidate
-// order. Candidates live in a min-heap on that key instead of being rescanned
-// per worker: only the chosen server's key changes between picks (its free
-// count shrinks and it stops being empty), so one pop + one push per placed
-// worker keeps the heap exact — O((workers + |set|) log |set|) instead of
-// O(workers x |set|). Candidates too small for one worker are dropped for
-// good, which the rescan loop could not do.
-double PlaceBestFit(ClusterState& cluster, JobId job, int gpus_per_worker, int workers,
-                    bool flexible, const std::vector<Candidate>& set) {
-  struct Entry {
-    int tier;
-    bool empty;
-    int free;
-    std::size_t index;  // position in `set`: preserves first-seen tie-breaks
-    ServerId id;
-
-    std::tuple<int, bool, int, std::size_t> key() const {
-      return {tier, empty, free, index};
-    }
-    bool operator>(const Entry& other) const { return key() > other.key(); }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const Server& server = cluster.server(set[i].id);
-    const int free = server.free_gpus();
-    if (free >= gpus_per_worker) {
-      heap.push({set[i].tier, server.idle(), free, i, set[i].id});
-    }
-  }
-
-  double placed = 0.0;
-  while (placed + kCreditEpsilon < static_cast<double>(workers) && !heap.empty()) {
-    Entry best = heap.top();
-    heap.pop();
-    cluster.Place(job, best.id, gpus_per_worker, flexible);
-    placed += GpuComputeFactor(cluster.server(best.id).gpu_type());
-    best.free -= gpus_per_worker;
-    best.empty = false;
-    if (best.free >= gpus_per_worker) {
-      heap.push(best);
-    }
-  }
-  return placed;
-}
-
-bool ServerHasBaseGpus(const Server& server) {
-  for (const auto& [job, share] : server.jobs()) {
-    if (share.base_gpus > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Candidate sets for one GPU type. `grouped` separates the base group (no
-// flexible workers) from the flexible group (no base workers) per §5.3.
-std::vector<Candidate> PoolCandidates(const ClusterState& cluster, ServerPool pool,
-                                      bool for_flexible, bool grouped) {
-  std::vector<Candidate> out;
-  for (ServerId id : cluster.ServersInPool(pool)) {
-    const Server& server = cluster.server(id);
-    int tier = 0;
-    if (grouped) {
-      if (for_flexible) {
-        // Flexible demand prefers servers without base workers.
-        tier = ServerHasBaseGpus(server) ? 1 : 0;
-      } else {
-        // Base demand prefers servers without flexible workers.
-        tier = server.HasFlexibleGpus() ? 1 : 0;
-      }
-    }
-    out.push_back({id, tier});
-  }
-  return out;
-}
-
-void OffsetTiers(std::vector<Candidate>& set, int offset) {
-  for (Candidate& c : set) {
-    c.tier += offset;
-  }
+// Lyra's key: within a tier best-fit prefers a non-empty server with the
+// least (but sufficient) free GPUs, opening an empty server only when no
+// partially-used one fits; segments are tiers in preference order.
+bool PlaceAll(ClusterState& cluster, const Job& job, int workers, bool flexible,
+              const std::vector<PlacementSegment>& segments) {
+  return PlaceAllBestFit(cluster, job.id(), job.spec().gpus_per_worker, workers,
+                         flexible, segments, BestFitOrder::kTierEmptyFree);
 }
 
 // All-or-nothing placement of a job's base demand within a single GPU type
-// (or mixed for heterogeneous jobs).
+// (or mixed for heterogeneous jobs). Grouped elastic jobs keep base demand
+// off servers with flexible workers where they can (§5.3).
 bool PlaceBase(ClusterState& cluster, const Job& job, int workers,
                const PlacementOptions& options) {
   const JobSpec& spec = job.spec();
   const bool loan_eligible =
       options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const bool grouped = !options.naive;
-
-  auto training = PoolCandidates(cluster, ServerPool::kTraining, /*for_flexible=*/false,
-                                 grouped && spec.elastic());
-  std::vector<Candidate> loaned;
-  if (loan_eligible) {
-    loaned = PoolCandidates(cluster, ServerPool::kOnLoan, /*for_flexible=*/false,
-                            grouped && spec.elastic());
-  }
-
-  auto try_set = [&](std::vector<Candidate> set) {
-    if (TierCapacityWorkers(cluster, set, spec.gpus_per_worker) + kCreditEpsilon <
-        static_cast<double>(workers)) {
-      return false;
-    }
-    const double placed =
-        PlaceBestFit(cluster, job.id(), spec.gpus_per_worker, workers, false, set);
-    LYRA_CHECK_GE(placed + kCreditEpsilon, static_cast<double>(workers));
-    return true;
-  };
+  const TierFilter tier = !options.naive && spec.elastic() ? TierFilter::kAvoidFlexible
+                                                           : TierFilter::kNone;
+  const PlacementSegment training{ServerPool::kTraining, tier};
+  const PlacementSegment loaned{ServerPool::kOnLoan, tier};
 
   if (spec.heterogeneous && !options.naive) {
     // Heterogeneous base demand goes to training servers; if that fails the
-    // job may span both pools (§6).
-    if (try_set(training)) {
-      return true;
-    }
-    std::vector<Candidate> merged = training;
-    OffsetTiers(loaned, 2);
-    merged.insert(merged.end(), loaned.begin(), loaned.end());
-    return try_set(merged);
+    // job may span both pools (§6). Without a loan the second set equals
+    // the first.
+    return PlaceAll(cluster, job, workers, false, {training}) ||
+           (loan_eligible && PlaceAll(cluster, job, workers, false, {training, loaned}));
   }
 
   // Non-heterogeneous jobs keep one GPU type per run: pick a pool order and
   // place entirely within one pool.
   const bool prefer_loaned = spec.elastic() && !options.naive && loan_eligible;
   if (prefer_loaned) {
-    if (try_set(loaned)) {
-      return true;
-    }
-    return try_set(training);
+    return PlaceAll(cluster, job, workers, false, {loaned}) ||
+           PlaceAll(cluster, job, workers, false, {training});
   }
-  if (try_set(training)) {
-    return true;
-  }
-  return loan_eligible && try_set(loaned);
+  return PlaceAll(cluster, job, workers, false, {training}) ||
+         (loan_eligible && PlaceAll(cluster, job, workers, false, {loaned}));
 }
 
-// Places up to `workers` flexible workers; partial success allowed.
+// Places up to `workers` flexible workers; partial success allowed. Grouped
+// flexible demand keeps off servers with base workers where it can (§5.3).
 int PlaceFlexible(ClusterState& cluster, const Job& job, int workers,
                   const PlacementOptions& options) {
   const JobSpec& spec = job.spec();
   const bool loan_eligible =
       options.allow_loaned && (spec.fungible || spec.heterogeneous);
-  const bool grouped = !options.naive;
+  const TierFilter tier = options.naive ? TierFilter::kNone : TierFilter::kAvoidBase;
+  const PlacementSegment training{ServerPool::kTraining, tier};
+  const PlacementSegment loaned{ServerPool::kOnLoan, tier};
 
-  std::vector<Candidate> set;
+  std::vector<PlacementSegment> segments;
   GpuType pinned;
   const bool is_pinned =
       !spec.heterogeneous && CurrentGpuType(cluster, job.id(), &pinned);
-
   if (spec.heterogeneous && !options.naive) {
     // Flexible demand of heterogeneous jobs prefers inference servers (§6).
-    set = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
-    auto training = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
-    OffsetTiers(training, 2);
-    set.insert(set.end(), training.begin(), training.end());
+    segments = {loaned, training};
   } else if (is_pinned && pinned == GpuType::kInferenceT4) {
-    set = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
+    segments = {loaned};
   } else if (is_pinned && pinned == GpuType::kTrainingV100) {
-    set = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
+    segments = {training};
   } else {
     // Unplaced job (should not happen for scale-out) or naive mode: training
     // first, then loaned.
-    set = PoolCandidates(cluster, ServerPool::kTraining, true, grouped);
+    segments = {training};
     if (loan_eligible) {
-      auto loaned = PoolCandidates(cluster, ServerPool::kOnLoan, true, grouped);
-      OffsetTiers(loaned, 2);
-      set.insert(set.end(), loaned.begin(), loaned.end());
+      segments.push_back(loaned);
     }
   }
-  const double placed =
-      PlaceBestFit(cluster, job.id(), spec.gpus_per_worker, workers, true, set);
+  const double placed = PlaceBestFit(cluster, job.id(), spec.gpus_per_worker, workers,
+                                     true, segments, BestFitOrder::kTierEmptyFree);
   return static_cast<int>(placed + 0.5);
 }
 

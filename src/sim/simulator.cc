@@ -196,9 +196,16 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
   }
   pending_.swap(still_pending);
 
-  // Rate refresh for running jobs whose placement changed.
+  // Rate refresh for running jobs whose placement changed. A job's rate
+  // depends only on its placement, its spec, tuned() and perf_factor(), and
+  // the handlers that change the last re-rate the job at once, so jobs whose
+  // shares are unchanged keep their rate. running_ order keeps the finish
+  // events' sequence numbers as they were.
   const ThroughputModel model(options_.throughput);
   for (Job* job : running_) {
+    if (!cluster_.SharesChanged(job->id())) {
+      continue;
+    }
     const PlacementProfile profile = ProfileFor(cluster_, *job);
     const double rate = EffectiveRate(*job, profile, model);
     if (std::fabs(rate - job->rate()) > kRateEpsilon ||
@@ -214,7 +221,9 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
       job->UpdateRate(now, rate, profile.workers);
       ScheduleFinish(*job, now);
     }
-    // On-loan attribution for Table 7.
+    // On-loan attribution for Table 7. A hosting server never changes pool
+    // (only idle servers are loaned or returned), so only a share change can
+    // put a job on an on-loan server.
     const JobPlacement* placement = cluster_.FindPlacement(job->id());
     if (placement != nullptr) {
       for (const auto& [server_id, share] : placement->shares) {
@@ -225,6 +234,7 @@ void Simulator::SyncAfterScheduling(TimeSec now) {
       }
     }
   }
+  cluster_.ClearChangedJobs();
 }
 
 void Simulator::HandleSchedulerTick(TimeSec now) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/lyra/placement.h"
 #include "src/sched/elastic_util.h"
@@ -287,6 +288,104 @@ TEST(PlacementUtil, ProfileForComputesMixAndFactor) {
   EXPECT_EQ(profile.workers, 2);
   EXPECT_NEAR(profile.mean_gpu_factor, (1.0 + 1.0 / 3.0) / 2.0, 1e-12);
   EXPECT_TRUE(profile.spans_heterogeneous);
+}
+
+// Places one gpus_per_worker-GPU worker per call and returns the servers
+// picked, in order.
+std::vector<std::int64_t> PickSequence(ClusterState& cluster, int picks,
+                                       const std::vector<PlacementSegment>& segments,
+                                       BestFitOrder order) {
+  std::vector<std::int64_t> picked;
+  for (int i = 0; i < picks; ++i) {
+    std::vector<int> before;
+    for (const Server& server : cluster.servers()) {
+      before.push_back(server.used_gpus());
+    }
+    EXPECT_GT(PlaceBestFit(cluster, JobId(100 + i), 2, 1, false, segments, order), 0.0);
+    for (const Server& server : cluster.servers()) {
+      if (server.used_gpus() != before[static_cast<std::size_t>(server.id().value)]) {
+        picked.push_back(server.id().value);
+      }
+    }
+  }
+  return picked;
+}
+
+// Lyra's key keeps the first-seen order of the old candidate list: tiers
+// (segment, then the avoided flag) first, empty servers last within a tier,
+// then the tightest fit, then the lower id.
+TEST(PlacementUtil, TieredBestFitBreaksTiesInFirstSeenOrder) {
+  ClusterState cluster;
+  for (int i = 0; i < 4; ++i) {
+    cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);  // 0-3
+  }
+  cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kOnLoan);  // 4
+  cluster.Place(JobId(1), ServerId(0), 4, /*flexible=*/true);  // tier 1, free 4
+  // Server 1 stays empty.
+  cluster.Place(JobId(2), ServerId(2), 4, false);  // tier 0, free 4
+  cluster.Place(JobId(3), ServerId(3), 4, false);  // tier 0, free 4
+  cluster.Place(JobId(4), ServerId(4), 6, false);  // next segment, free 2
+
+  const std::vector<PlacementSegment> segments = {
+      {ServerPool::kTraining, TierFilter::kAvoidFlexible},
+      {ServerPool::kOnLoan, TierFilter::kAvoidFlexible}};
+  EXPECT_EQ(PickSequence(cluster, 11, segments, BestFitOrder::kTierEmptyFree),
+            (std::vector<std::int64_t>{2, 2, 3, 3, 1, 1, 1, 1, 0, 0, 4}));
+  // Every slot is taken now.
+  EXPECT_EQ(PlaceBestFit(cluster, JobId(200), 2, 1, false, segments,
+                         BestFitOrder::kTierEmptyFree),
+            0.0);
+  cluster.AuditInvariants();
+}
+
+// The baselines' key: the tightest fit first, then the segment order, then
+// the lower id; tiers and emptiness play no part.
+TEST(PlacementUtil, FreeBestFitBreaksTiesBySegmentThenId) {
+  ClusterState cluster;
+  for (int i = 0; i < 3; ++i) {
+    cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);  // 0-2
+  }
+  // A V100 server in the second segment: each pick is one whole worker.
+  cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kOnLoan);  // 3
+  cluster.Place(JobId(1), ServerId(0), 4, false);  // free 4
+  cluster.Place(JobId(2), ServerId(1), 6, true);   // free 2
+  // Server 2 stays empty (free 8).
+  cluster.Place(JobId(3), ServerId(3), 6, false);  // free 2
+
+  const std::vector<PlacementSegment> segments = {{ServerPool::kTraining},
+                                                  {ServerPool::kOnLoan}};
+  EXPECT_EQ(PickSequence(cluster, 7, segments, BestFitOrder::kFree),
+            (std::vector<std::int64_t>{1, 3, 0, 0, 2, 2, 2}));
+}
+
+// A heterogeneous request with kLoanedFirst lists the on-loan pool first, so
+// on-loan servers win ties at equal free GPUs even with higher ids.
+TEST(PlacementUtil, HeterogeneousLoanedFirstPrefersLoanedOnTies) {
+  for (const PoolPreference preference :
+       {PoolPreference::kLoanedFirst, PoolPreference::kTrainingFirst}) {
+    ClusterState cluster;
+    const ServerId training =
+        cluster.AddServer(GpuType::kTrainingV100, 8, ServerPool::kTraining);
+    const ServerId loaned =
+        cluster.AddServer(GpuType::kInferenceT4, 8, ServerPool::kOnLoan);
+    cluster.Place(JobId(1), training, 2, false);  // free 6
+    cluster.Place(JobId(2), loaned, 2, false);    // free 6
+    PlaceRequest request;
+    request.job = JobId(0);
+    request.gpus_per_worker = 2;
+    request.workers = 1;
+    request.heterogeneous = true;
+    request.preference = preference;
+    ASSERT_TRUE(TryPlaceWorkers(cluster, request));
+    const JobPlacement* placement = cluster.FindPlacement(JobId(0));
+    ASSERT_NE(placement, nullptr);
+    // One nominal worker: three T4 workers on the loaned server, or one V100
+    // worker on the training server.
+    const ServerId expected =
+        preference == PoolPreference::kLoanedFirst ? loaned : training;
+    ASSERT_EQ(placement->shares.size(), 1u);
+    EXPECT_EQ(placement->shares.begin()->first, expected);
+  }
 }
 
 }  // namespace
