@@ -179,14 +179,15 @@ void AppendFederation(std::string& out, const ShardRouter& router,
   }
   AppendHeader(out, "lyra_fed_gpus_loaned", "gauge",
                "GPUs currently lent out, by lender.");
+  for (int c = 0; c < router.cluster_count(); ++c) {
+    AppendCountSample(out, "lyra_fed_gpus_loaned", "", label(c),
+                      count(LoanedBy(ledger, static_cast<std::uint32_t>(c))));
+  }
   AppendHeader(out, "lyra_fed_gpus_borrowed", "gauge",
                "GPUs currently borrowed, by borrower.");
   for (int c = 0; c < router.cluster_count(); ++c) {
-    const auto cluster = static_cast<std::uint32_t>(c);
-    AppendCountSample(out, "lyra_fed_gpus_loaned", "", label(c),
-                      count(LoanedBy(ledger, cluster)));
     AppendCountSample(out, "lyra_fed_gpus_borrowed", "", label(c),
-                      count(BorrowedBy(ledger, cluster)));
+                      count(BorrowedBy(ledger, static_cast<std::uint32_t>(c))));
   }
   total("lyra_fed_loans_active", "gauge", "Outstanding cross-cluster loans.",
         count(ledger.loans.size()));

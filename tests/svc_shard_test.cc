@@ -920,6 +920,47 @@ std::string PromSkeleton(const std::string& text, bool as_sets) {
   return out;
 }
 
+// Text-format lint: every sample follows its own family's HELP/TYPE lines
+// (a histogram's _bucket/_sum/_count samples belong to the histogram), and
+// no family's header appears twice. Returns one line per violation.
+std::string PromLint(const std::string& text) {
+  std::string errors;
+  std::set<std::string> seen;  // families whose header has been opened
+  std::string family;          // the open family
+  std::string type;            // its TYPE
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream words(line.substr(7));
+      std::string name;
+      words >> name;
+      if (name != family) {
+        if (!seen.insert(name).second) {
+          errors += "family " + name + " appears twice\n";
+        }
+        family = name;
+        type.clear();
+      }
+      if (line[2] == 'T') {
+        words >> type;
+      }
+      continue;
+    }
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    bool own = name == family;
+    if (type == "histogram" || type == "summary") {
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        own = own || name == family + suffix;
+      }
+    }
+    if (!own) {
+      errors += "sample " + name + " under family " + family + "\n";
+    }
+  }
+  return errors;
+}
+
 // Every key path of a JSON document ("histograms.x.count", ...).
 void KeyPaths(const JsonValue& value, const std::string& prefix,
               std::set<std::string>* paths) {
@@ -1006,6 +1047,8 @@ std::vector<std::string> RunReadPin(
       reply.Replace("engine", JsonValue::MakeString("<engine>"));
     }
     if (reply.Find("text") != nullptr) {
+      EXPECT_EQ(PromLint(reply.GetString("text")), "")
+          << engines.size() << " engines";
       *prom = PromSkeleton(reply.GetString("text"), engines.size() > 1);
       reply.Replace("text", JsonValue::MakeString("<text>"));
     }
@@ -1435,15 +1478,15 @@ lyra_engine_pool_gpus{pool="inference",kind="free"}
   lyra_fed_gpus{cluster="train1",pool="free"}
   lyra_fed_gpus{cluster="train1",pool="total"}
 # TYPE lyra_fed_gpus_loaned gauge
+  lyra_fed_gpus_loaned{cluster="inf0"}
+  lyra_fed_gpus_loaned{cluster="inf1"}
+  lyra_fed_gpus_loaned{cluster="train0"}
+  lyra_fed_gpus_loaned{cluster="train1"}
 # TYPE lyra_fed_gpus_borrowed gauge
   lyra_fed_gpus_borrowed{cluster="inf0"}
   lyra_fed_gpus_borrowed{cluster="inf1"}
   lyra_fed_gpus_borrowed{cluster="train0"}
   lyra_fed_gpus_borrowed{cluster="train1"}
-  lyra_fed_gpus_loaned{cluster="inf0"}
-  lyra_fed_gpus_loaned{cluster="inf1"}
-  lyra_fed_gpus_loaned{cluster="train0"}
-  lyra_fed_gpus_loaned{cluster="train1"}
 # TYPE lyra_fed_loans_active gauge
   lyra_fed_loans_active
 # TYPE lyra_fed_loans_granted_total counter
@@ -1481,6 +1524,20 @@ lyra_engine_pool_gpus{pool="inference",kind="free"}
   EXPECT_EQ(prom, kThreeEngineProm);
   EXPECT_EQ(run_fleet(ParseFederationSpec("2x2").value()), kFederationReplies);
   EXPECT_EQ(prom, kFederationProm);
+}
+
+// The lint itself: it names a sample written under another family's header
+// (the interleaving the federation families once had) and a repeated family.
+TEST(Shard, PromLintFlagsMisplacedSamples) {
+  EXPECT_EQ(PromLint("# HELP a_seconds A.\n# TYPE a_seconds histogram\n"
+                     "a_seconds_bucket{le=\"1\"} 0\na_seconds_sum 0\n"
+                     "a_seconds_count 0\n# TYPE b gauge\nb{x=\"1\"} 2\n"),
+            "");
+  EXPECT_EQ(PromLint("# TYPE loaned gauge\n# TYPE borrowed gauge\n"
+                     "loaned{c=\"0\"} 1\nborrowed{c=\"0\"} 2\n"),
+            "sample loaned under family borrowed\n");
+  EXPECT_EQ(PromLint("# TYPE a gauge\na 1\n# TYPE b gauge\nb 1\n# TYPE a gauge\na 2\n"),
+            "family a appears twice\n");
 }
 
 // A negative job id names no job. At one engine the engine says so; on a
