@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -34,6 +35,13 @@ void FlagSet::AddDouble(const std::string& name, double* value, const std::strin
 void FlagSet::AddString(const std::string& name, std::string* value,
                         const std::string& help) {
   Add(name, Type::kString, value, help, *value);
+}
+
+void FlagSet::AddOptionalInt64(const std::string& name,
+                               std::optional<std::int64_t>* value,
+                               const std::string& help) {
+  Add(name, Type::kOptionalInt64, value, help,
+      value->has_value() ? std::to_string(**value) : "unset");
 }
 
 FlagSet::Flag* FlagSet::Find(const std::string& name) {
@@ -79,6 +87,16 @@ Status FlagSet::Assign(Flag& flag, const std::string& value) {
     case Type::kString:
       *static_cast<std::string*>(flag.destination) = value;
       return Status::Ok();
+    case Type::kOptionalInt64: {
+      errno = 0;
+      const long long parsed = std::strtoll(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+        return Status::InvalidArgument("--" + flag.name +
+                                       " expects a 64-bit integer, got '" + value + "'");
+      }
+      *static_cast<std::optional<std::int64_t>*>(flag.destination) = parsed;
+      return Status::Ok();
+    }
   }
   return Status::Internal("unhandled flag type");
 }
@@ -159,6 +177,7 @@ std::string FlagSet::Usage() const {
         out << "[=true|false]";
         break;
       case Type::kInt:
+      case Type::kOptionalInt64:
         out << "=<int>";
         break;
       case Type::kDouble:

@@ -8,6 +8,8 @@
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,10 @@ class FlagSet {
   void AddInt(const std::string& name, int* value, const std::string& help);
   void AddDouble(const std::string& name, double* value, const std::string& help);
   void AddString(const std::string& name, std::string* value, const std::string& help);
+  // An integer flag whose absence is distinct from every value, negative
+  // ones included: empty until the flag is given.
+  void AddOptionalInt64(const std::string& name, std::optional<std::int64_t>* value,
+                        const std::string& help);
 
   // Parses argv (skipping argv[0]). Unknown flags, malformed values, and
   // missing arguments are errors. Leftover positional arguments land in
@@ -40,7 +46,7 @@ class FlagSet {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
-  enum class Type { kBool, kInt, kDouble, kString };
+  enum class Type { kBool, kInt, kDouble, kString, kOptionalInt64 };
 
   struct Flag {
     std::string name;

@@ -3,6 +3,9 @@
 // names through src/svc/registry.h).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "src/common/flags.h"
 #include "src/svc/registry.h"
 
@@ -113,6 +116,31 @@ TEST_F(FlagsTest, HelpRequestedIsNotAnError) {
   EXPECT_NE(usage.find("how many"), std::string::npos);
   EXPECT_NE(usage.find("default: 7"), std::string::npos);
   EXPECT_NE(usage.find("test tool"), std::string::npos);
+}
+
+// lyra_ctl's --job: a negative id is a value to send (the server answers
+// not_found), not "no id given".
+TEST(Flags, OptionalInt64TellsNegativeValuesFromAbsence) {
+  std::optional<std::int64_t> job;
+  FlagSet flags("ctl");
+  flags.AddOptionalInt64("job", &job, "job id");
+  const auto parse = [&](std::vector<const char*> args) {
+    job.reset();
+    args.insert(args.begin(), "prog");
+    return flags.Parse(static_cast<int>(args.size()), args.data());
+  };
+  ASSERT_TRUE(parse({"query_job"}).ok());
+  EXPECT_FALSE(job.has_value());
+  ASSERT_TRUE(parse({"query_job", "--job=-1"}).ok());
+  EXPECT_EQ(job, std::optional<std::int64_t>(-1));
+  ASSERT_TRUE(parse({"--job", "0"}).ok());
+  EXPECT_EQ(job, std::optional<std::int64_t>(0));
+  ASSERT_TRUE(parse({"--job=9007199254740993"}).ok());
+  EXPECT_EQ(job, std::optional<std::int64_t>(9007199254740993));
+  EXPECT_FALSE(parse({"--job=abc"}).ok());
+  EXPECT_FALSE(parse({"--job=99999999999999999999"}).ok());
+  EXPECT_NE(flags.Usage().find("--job=<int>"), std::string::npos);
+  EXPECT_NE(flags.Usage().find("default: unset"), std::string::npos);
 }
 
 // --- Component registry ----------------------------------------------------

@@ -13,8 +13,10 @@
 //   lyra_ctl --socket=/tmp/lyra.sock drain
 //   lyra_ctl --socket=/tmp/lyra.sock snapshot --path=/tmp/lyra.snap
 //   lyra_ctl --socket=/tmp/lyra.sock shutdown
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <unistd.h>
 
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
   double at = -1.0;
   double to = -1.0;
   double total_work = -1.0;
-  int job = -1;
+  std::optional<std::int64_t> job;  // any id, negative ones included
   int gpus_per_worker = 1;
   int min_workers = 1;
   int max_workers = -1;
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
   flags.AddString("tcp", &tcp, "daemon TCP endpoint host:port (overrides --socket)");
   flags.AddDouble("at", &at, "virtual-time stamp for mutating commands (<0 = now)");
   flags.AddDouble("to", &to, "advance: target virtual time");
-  flags.AddInt("job", &job, "cancel/query_job: job id");
+  flags.AddOptionalInt64("job", &job, "cancel/query_job/migrate: job id");
   flags.AddString("path", &path, "snapshot: output file");
   flags.AddInt("gpus-per-worker", &gpus_per_worker, "submit: GPUs per worker");
   flags.AddInt("min-workers", &min_workers, "submit: minimum worker count");
@@ -132,18 +134,18 @@ int main(int argc, char** argv) {
       request.Set("cluster", ClusterTarget(cluster));
     }
   } else if (cmd == "migrate") {
-    if (job < 0 || migrate_to.empty()) {
+    if (!job.has_value() || migrate_to.empty()) {
       std::fprintf(stderr, "lyra_ctl: migrate requires --job and --dest\n");
       return 1;
     }
-    request.Set("job", lyra::JsonValue::MakeNumber(job));
+    request.Set("job", lyra::JsonValue::MakeNumber(static_cast<double>(*job)));
     request.Set("to", ClusterTarget(migrate_to));
   } else if (cmd == "cancel" || cmd == "query_job") {
-    if (job < 0) {
+    if (!job.has_value()) {
       std::fprintf(stderr, "lyra_ctl: %s requires --job\n", cmd.c_str());
       return 1;
     }
-    request.Set("job", lyra::JsonValue::MakeNumber(job));
+    request.Set("job", lyra::JsonValue::MakeNumber(static_cast<double>(*job)));
   } else if (cmd == "advance") {
     if (to < 0.0) {
       std::fprintf(stderr, "lyra_ctl: advance requires --to\n");
