@@ -40,8 +40,10 @@ int PlacedFlexibleWorkers(const ClusterState& cluster, const Job& job) {
   }
   double credit = 0.0;
   for (const auto& [server_id, share] : placement->shares) {
-    credit += ShareWorkerCredit(cluster, server_id, share.flexible_gpus,
-                                job.spec().gpus_per_worker);
+    if (share.flexible_gpus > 0) {  // a base-only share adds exactly 0.0
+      credit += ShareWorkerCredit(cluster, server_id, share.flexible_gpus,
+                                  job.spec().gpus_per_worker);
+    }
   }
   return static_cast<int>(std::floor(credit + 0.5));
 }
