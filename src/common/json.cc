@@ -96,8 +96,12 @@ double JsonValue::AsDouble() const {
   return number_;
 }
 
-std::int64_t JsonValue::AsInt() const {
-  LYRA_CHECK(is_number());
+std::optional<std::int64_t> JsonValue::AsInt() const {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (!is_number() || !(std::fabs(number_) < kExact) ||
+      std::trunc(number_) != number_) {
+    return std::nullopt;
+  }
   return static_cast<std::int64_t>(number_);
 }
 
@@ -164,6 +168,11 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 double JsonValue::GetDouble(const std::string& key, double fallback) const {
   const JsonValue* v = Find(key);
   return v != nullptr && v->is_number() ? v->number_ : fallback;
+}
+
+std::optional<std::int64_t> JsonValue::GetInt(const std::string& key) const {
+  const JsonValue* v = Find(key);
+  return v != nullptr ? v->AsInt() : std::nullopt;
 }
 
 std::string JsonValue::GetString(const std::string& key, std::string fallback) const {

@@ -11,6 +11,8 @@
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +81,11 @@ class JsonValue {
   // Typed accessors; LYRA_CHECK on type mismatch.
   bool AsBool() const;
   double AsDouble() const;
-  std::int64_t AsInt() const;
+  // The one reader for integer fields off the wire (job ids, cluster
+  // indices): the number when it is integral and below 2^53 in magnitude,
+  // where a double holds every integer exactly; nullopt for a fraction, a
+  // larger magnitude or a non-number. It checks before it casts.
+  std::optional<std::int64_t> AsInt() const;
   const std::string& AsString() const;
   const std::vector<JsonValue>& AsArray() const;
   const std::vector<std::pair<std::string, JsonValue>>& AsObject() const;
@@ -87,9 +93,8 @@ class JsonValue {
   // Mutators; LYRA_CHECK on type mismatch. Set appends (first-wins lookup
   // means a repeated Set of the same key is shadowed, not replaced); Replace
   // overwrites the first occurrence of the key, appending when absent — the
-  // mutator for rewriting a member of an existing document (the shard
-  // router's job-id translation). All return *this so documents can be built
-  // fluently.
+  // mutator for rewriting a member of an existing document. All return
+  // *this so documents can be built fluently.
   JsonValue& Set(std::string key, JsonValue value);
   JsonValue& Replace(const std::string& key, JsonValue value);
   JsonValue& Append(JsonValue value);
@@ -102,6 +107,8 @@ class JsonValue {
 
   // Convenience: Find(key) as a number/string/bool with a fallback.
   double GetDouble(const std::string& key, double fallback = 0.0) const;
+  // Find(key) through AsInt; nullopt when absent.
+  std::optional<std::int64_t> GetInt(const std::string& key) const;
   std::string GetString(const std::string& key, std::string fallback = "") const;
   bool GetBool(const std::string& key, bool fallback = false) const;
 

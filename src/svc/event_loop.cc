@@ -204,10 +204,6 @@ class EventLoop::IoThread {
     std::uint64_t start_ns = 0;
     std::uint64_t seq = 0;
     TelemetryCmd cmd = TelemetryCmd::kOther;
-    // Which engine shard owns the command, and whether its reply's "job"
-    // needs the local->global id rewrite (submit/cancel at shard_count > 1).
-    std::uint32_t shard = 0;
-    bool rewrite_job = false;
   };
 
   struct Conn {
@@ -571,8 +567,7 @@ class EventLoop::IoThread {
         }
         return;
       }
-      // BeginEngine consumes the routing counter and rewrites cancel's job
-      // id in place; it must precede the slot so the slot records the
+      // BeginEngine consumes the routing counter and names the
       // authoritative shard.
       const std::uint32_t shard = router_->BeginEngine(tcmd, request, plan);
       const std::uint64_t seq = conn->base_seq + conn->slots.size();
@@ -581,8 +576,6 @@ class EventLoop::IoThread {
       slot.start_ns = start_ns;
       slot.seq = seq;
       slot.cmd = tcmd;
-      slot.shard = shard;
-      slot.rewrite_job = plan.rewrite_job;
       ++conn->engine_inflight;
       // Engine thread (or inline on overload) bounces the reply onto the
       // owning I/O thread via the mailbox sink as a typed record;
@@ -679,7 +672,7 @@ class EventLoop::IoThread {
   }
 
   void OnCompletion(std::uint64_t conn_id, std::uint64_t seq,
-                    JsonValue& reply) {
+                    const JsonValue& reply) {
     const auto it = conns_.find(conn_id);
     if (it == conns_.end()) {
       return;  // connection died with the command in flight
@@ -694,9 +687,6 @@ class EventLoop::IoThread {
     }
     Slot& slot = conn->slots[index];
     LYRA_CHECK(slot.state == Slot::State::kWaitingEngine);
-    if (slot.rewrite_job) {
-      router_->RewriteReplyJob(slot.shard, reply);
-    }
     MakeReady(slot, reply, conn);
     --conn->engine_inflight;
     ResolveDeferredReads(conn);

@@ -154,17 +154,12 @@ JsonValue ReadFleet(EngineList engines, const JsonValue& request,
   }
   switch (cmd) {
     case TelemetryCmd::kQueryJob: {
-      const JsonValue* job = request.Find("job");
-      if (job == nullptr || !job->is_number()) {
+      const std::optional<std::int64_t> id = request.GetInt("job");
+      if (!id) {
         fail(ErrorReply("invalid_argument", "query_job requires a numeric \"job\""));
         break;
       }
-      // id = local * n + engine; a negative id names no job, and local -1
-      // finds none, so the not_found names the id the client sent.
-      const std::int64_t id = job->AsInt();
-      const auto n = static_cast<std::int64_t>(engines.size());
-      reply = SnapshotJobReply(*snaps[static_cast<std::size_t>(id < 0 ? 0 : id % n)],
-                               id < 0 ? -1 : id / n, id);
+      reply = SnapshotJobReply(*snaps[JobIdSpace::Owner(*id, engines.size())], *id);
       if (!reply.GetBool("ok", false)) {
         front.CountProtocolError();
       }

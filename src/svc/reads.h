@@ -40,9 +40,9 @@ SchedulerService::Stats SumStats(
     EngineList engines, std::vector<SchedulerService::Stats>* each = nullptr);
 
 // Answers a read-only or unknown command over `engines` (non-empty). Any
-// stopped or unpublished engine makes every read `unavailable`. Job ids are
-// global, id = local * engines.size() + engine (ShardRouter), and a negative
-// id names no job. `federation` is null outside a federation.
+// stopped or unpublished engine makes every read `unavailable`. query_job
+// asks the engine that owns the id (JobIdSpace::Owner), whose snapshot
+// converts it. `federation` is null outside a federation.
 JsonValue ReadFleet(EngineList engines, const JsonValue& request,
                     const ShardRouter* federation);
 

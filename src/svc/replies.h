@@ -4,6 +4,7 @@
 #ifndef SRC_SVC_REPLIES_H_
 #define SRC_SVC_REPLIES_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/common/json.h"
@@ -39,6 +40,11 @@ inline JsonValue ErrorReply(const char* code, const std::string& message) {
   reply.Set("code", JsonValue::MakeString(code));
   reply.Set("error", JsonValue::MakeString(message));
   return reply;
+}
+
+// The not_found for a job id that names no job, in the client's id.
+inline JsonValue NoSuchJob(std::int64_t id) {
+  return ErrorReply("not_found", "no such job: " + std::to_string(id));
 }
 
 inline JsonValue StatusReply(const Status& status) {

@@ -80,8 +80,12 @@ SchedulerService::CmdClass SchedulerService::Classify(TelemetryCmd cmd) {
 }
 
 SchedulerService::SchedulerService(ServiceOptions options,
-                                   std::unique_ptr<TimeDriver> driver)
-    : options_(std::move(options)), driver_(std::move(driver)) {
+                                   std::unique_ptr<TimeDriver> driver,
+                                   JobIdSpace ids)
+    : options_(std::move(options)),
+      driver_(std::move(driver)),
+      ids_(ids),
+      builder_(ids) {
   LYRA_CHECK(driver_ != nullptr);
   LYRA_CHECK_GT(options_.queue_capacity, 0);
 }
@@ -575,36 +579,41 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
   auto_quiescent_ = false;
 
   JsonValue reply = OkReply();
-  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id.value().value)));
+  reply.Set("job", JsonValue::MakeNumber(
+                       static_cast<double>(ids_.Global(id.value().value))));
   reply.Set("time", JsonValue::MakeNumber(stamp));
   return reply;
 }
 
 JsonValue SchedulerService::ApplyCancel(const JsonValue& request) {
-  const JsonValue* job = request.Find("job");
-  if (job == nullptr || !job->is_number()) {
+  const std::optional<std::int64_t> id = request.GetInt("job");
+  if (!id) {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
     return ErrorReply("invalid_argument", "cancel requires a numeric \"job\"");
   }
-  const std::int64_t id = job->AsInt();
+  const std::int64_t local = ids_.Local(*id);
   const TimeSec stamp = StampFor(request);
   engine_.sim->StepUntil(stamp);
-  const Status status = engine_.sim->CancelJob(JobId(id));
+  const Status status = engine_.sim->CancelJob(JobId(local));
   if (!status.ok()) {
     command_errors_.fetch_add(1, std::memory_order_relaxed);
-    return StatusReply(status);
+    // The simulator's text names its own id; the reply names the client's.
+    return status.code() == StatusCode::kNotFound
+               ? NoSuchJob(*id)
+               : ErrorReply("failed_precondition",
+                            "job " + std::to_string(*id) + " already terminated");
   }
   LoggedCommand logged;
   logged.kind = CommandKind::kCancel;
   logged.stamp = stamp;
-  logged.job = id;
+  logged.job = local;
   TraceCommand("cancel", stamp);
   log_.push_back(std::move(logged));
   ++batch_cancelled_;
   auto_quiescent_ = false;
 
   JsonValue reply = OkReply();
-  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
+  reply.Set("job", JsonValue::MakeNumber(static_cast<double>(*id)));
   reply.Set("time", JsonValue::MakeNumber(engine_.sim->now()));
   return reply;
 }

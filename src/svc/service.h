@@ -126,7 +126,10 @@ class SchedulerService {
     JsonValue reply_;
   };
 
-  SchedulerService(ServiceOptions options, std::unique_ptr<TimeDriver> driver);
+  // `ids` is the engine's job-id space in its fleet; a lone engine keeps
+  // the default, its simulator's own ids.
+  SchedulerService(ServiceOptions options, std::unique_ptr<TimeDriver> driver,
+                   JobIdSpace ids = {});
   ~SchedulerService();
 
   SchedulerService(const SchedulerService&) = delete;
@@ -278,6 +281,7 @@ class SchedulerService {
 
   ServiceOptions options_;
   std::unique_ptr<TimeDriver> driver_;
+  const JobIdSpace ids_;
   Engine engine_;
   std::vector<LoggedCommand> log_;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
@@ -23,10 +22,46 @@ std::string DescribeTarget(const JsonValue& target) {
   if (target.is_string()) {
     return target.AsString();
   }
-  if (target.is_number()) {
-    return std::to_string(target.AsInt());
+  const std::optional<std::int64_t> index = target.AsInt();
+  return index ? std::to_string(*index) : "?";
+}
+
+// How the engines' replies to a barrier command merge into the client's
+// reply, field by field in reply order. The words are the metrics merge's
+// (FoldMetric, reads.cc): a sum adds, a max takes the largest, and a const
+// is the same at every engine, so engine 0's value stands.
+enum class Fold { kMax, kSum, kConst };
+struct FieldRule {
+  const char* field = nullptr;  // null ends a command's rules
+  Fold fold = Fold::kConst;
+};
+struct BarrierMerge {
+  TelemetryCmd cmd;
+  FieldRule rules[3];
+};
+constexpr BarrierMerge kBarrierMerges[] = {
+    {TelemetryCmd::kAdvance, {{"time", Fold::kMax}, {"virtual_time", Fold::kMax}}},
+    {TelemetryCmd::kDrain,
+     {{"time", Fold::kMax}, {"jobs", Fold::kSum}, {"terminal", Fold::kSum}}},
+    {TelemetryCmd::kShutdown, {{"stopping", Fold::kConst}}},
+    // "path" is each engine's part file until the container step names the
+    // container.
+    {TelemetryCmd::kSnapshot,
+     {{"path", Fold::kConst}, {"commands", Fold::kSum}, {"time", Fold::kMax}}},
+};
+
+void FoldField(const FieldRule& rule, const std::vector<JsonValue>& replies,
+               JsonValue& merged) {
+  if (rule.fold == Fold::kConst) {
+    merged.Set(rule.field, *replies.front().Find(rule.field));
+    return;
   }
-  return "?";
+  double value = 0.0;
+  for (const JsonValue& reply : replies) {
+    const double v = reply.GetDouble(rule.field, 0.0);
+    value = rule.fold == Fold::kSum ? value + v : std::max(value, v);
+  }
+  merged.Set(rule.field, JsonValue::MakeNumber(value));
 }
 
 }  // namespace
@@ -84,17 +119,16 @@ class ShardRouter::MigrationSink
  public:
   MigrationSink(ShardRouter* router, JsonValue original,
                 std::shared_ptr<SchedulerService::CompletionSink> parent,
-                std::uint64_t a, std::uint64_t b, std::int64_t from_global,
-                std::uint32_t source_engine, std::uint32_t dest_engine,
-                std::uint32_t dest_cluster, std::uint32_t source_cluster,
-                JsonValue submit, double checkpoint_cost)
+                std::uint64_t a, std::uint64_t b, std::int64_t from_job,
+                std::uint32_t dest_engine, std::uint32_t dest_cluster,
+                std::uint32_t source_cluster, JsonValue submit,
+                double checkpoint_cost)
       : router_(router),
         original_(std::move(original)),
         parent_(std::move(parent)),
         a_(a),
         b_(b),
-        from_global_(from_global),
-        source_engine_(source_engine),
+        from_job_(from_job),
         dest_engine_(dest_engine),
         dest_cluster_(dest_cluster),
         source_cluster_(source_cluster),
@@ -104,10 +138,6 @@ class ShardRouter::MigrationSink
   void OnReply(std::uint64_t phase, std::uint64_t /*unused*/,
                JsonValue reply) override {
     if (!reply.GetBool("ok", false)) {
-      if (phase == 0) {
-        // The cancel's not_found names the shard-local id.
-        router_->RewriteReplyJob(source_engine_, reply);
-      }
       EchoSeq(original_, reply);
       parent_->OnReply(a_, b_, std::move(reply));
       return;
@@ -123,20 +153,17 @@ class ShardRouter::MigrationSink
                          SchedulerService::CmdClass::kEngine);
       return;
     }
-    const std::int64_t local =
-        static_cast<std::int64_t>(reply.GetDouble("job", -1.0));
-    const std::int64_t to_global = router_->ToGlobal(local, dest_engine_);
+    const std::int64_t to_job = *reply.GetInt("job");
     const double time = reply.GetDouble("time", 0.0);
     {
       std::lock_guard<std::mutex> lock(router_->broker_mu_);
-      router_->broker_.RecordMigration(time, from_global_, to_global,
+      router_->broker_.RecordMigration(time, from_job_, to_job,
                                        source_cluster_, dest_cluster_,
                                        checkpoint_cost_);
     }
     JsonValue done = OkReply();
-    done.Set("job", JsonValue::MakeNumber(static_cast<double>(to_global)));
-    done.Set("from_job",
-             JsonValue::MakeNumber(static_cast<double>(from_global_)));
+    done.Set("job", JsonValue::MakeNumber(static_cast<double>(to_job)));
+    done.Set("from_job", JsonValue::MakeNumber(static_cast<double>(from_job_)));
     done.Set("cluster", JsonValue::MakeString(
                             router_->clusters_[dest_cluster_].name));
     done.Set("checkpoint_cost", JsonValue::MakeNumber(checkpoint_cost_));
@@ -151,8 +178,7 @@ class ShardRouter::MigrationSink
   const std::shared_ptr<SchedulerService::CompletionSink> parent_;
   const std::uint64_t a_;
   const std::uint64_t b_;
-  const std::int64_t from_global_;
-  const std::uint32_t source_engine_;
+  const std::int64_t from_job_;
   const std::uint32_t dest_engine_;
   const std::uint32_t dest_cluster_;
   const std::uint32_t source_cluster_;
@@ -195,11 +221,10 @@ int ShardRouter::ResolveCluster(const JsonValue& target) const {
   if (target.is_string()) {
     return FindCluster(target.AsString());
   }
-  if (target.is_number() && target.AsInt() >= 0 &&
-      target.AsInt() < cluster_count()) {
-    return static_cast<int>(target.AsInt());
-  }
-  return -1;
+  const std::optional<std::int64_t> index = target.AsInt();
+  return index && *index >= 0 && *index < cluster_count()
+             ? static_cast<int>(*index)
+             : -1;
 }
 
 std::string ShardRouter::PartPath(const std::string& path, int shard) {
@@ -241,13 +266,13 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
                                            const JsonValue& request) const {
   Plan plan;
   if (cmd == TelemetryCmd::kMigrate) {
-    const JsonValue* job = request.Find("job");
-    if (!federated() || job == nullptr || !job->is_number()) {
+    const std::optional<std::int64_t> job = request.GetInt("job");
+    if (!federated() || !job) {
       plan.reject = true;
       return plan;
     }
     plan.migrate = true;
-    plan.shard = ShardOfJob(job->AsInt());
+    plan.shard = JobIdSpace::Owner(*job, shards_.size());
     plan.shed = shards_[plan.shard]->EngineSaturated();
     return plan;
   }
@@ -262,7 +287,6 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
         plan.reject = true;
         return plan;
       }
-      plan.rewrite_job = true;
       const JsonValue* key = request.Find("key");
       std::uint64_t hash = 0;
       if (key != nullptr && key->is_string()) {
@@ -278,20 +302,12 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
       plan.shed = shards_[plan.shard]->EngineSaturated();
       return plan;
     }
-    case TelemetryCmd::kCancel: {
-      const JsonValue* job = request.Find("job");
-      if (job != nullptr && job->is_number()) {
-        if (job->AsInt() < 0) {
-          plan.reject = true;  // names no job; the id must not alias one
-          return plan;
-        }
-        plan.shard = ShardOfJob(job->AsInt());
-        plan.rewrite_job = true;
-      }
-      // Missing/invalid "job": shard 0 produces the usual error reply.
+    case TelemetryCmd::kCancel:
+      // A missing or malformed "job" goes to engine 0 for its usual error.
+      plan.shard = JobIdSpace::Owner(request.GetInt("job").value_or(0),
+                                     shards_.size());
       plan.shed = shards_[plan.shard]->EngineSaturated();
       return plan;
-    }
     default:
       plan.fanout = true;
       plan.shed = AnySaturated();
@@ -299,31 +315,22 @@ ShardRouter::Plan ShardRouter::RouteEngine(TelemetryCmd cmd,
   }
 }
 
-std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd, JsonValue& request,
+std::uint32_t ShardRouter::BeginEngine(TelemetryCmd cmd,
+                                       const JsonValue& request,
                                        const Plan& plan) {
-  if (shard_count() == 1 || plan.fanout || plan.reject || plan.migrate) {
+  if (shard_count() == 1 || cmd != TelemetryCmd::kSubmit || plan.reject) {
     return plan.shard;
   }
-  if (cmd == TelemetryCmd::kSubmit) {
-    const JsonValue* key = request.Find("key");
-    if (key != nullptr && key->is_string()) {
-      return plan.shard;
-    }
-    // The fetch_add is the authoritative routing decision: two I/O threads
-    // that both planned from the same peeked value still dispatch to
-    // distinct, deterministic engines. RouteEngine validated the target.
-    const std::vector<std::uint32_t>* targets = TargetEngines(request);
-    const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
-    return (*targets)[Fnv1aU64(seq) % targets->size()];
+  const JsonValue* key = request.Find("key");
+  if (key != nullptr && key->is_string()) {
+    return plan.shard;
   }
-  if (cmd == TelemetryCmd::kCancel && plan.rewrite_job) {
-    const JsonValue* job = request.Find("job");
-    if (job != nullptr && job->is_number()) {
-      request.Replace("job", JsonValue::MakeNumber(
-                                 static_cast<double>(ToLocal(job->AsInt()))));
-    }
-  }
-  return plan.shard;
+  // The fetch_add is the authoritative routing decision: two I/O threads
+  // that both planned from the same peeked value still dispatch to
+  // distinct, deterministic engines. RouteEngine validated the target.
+  const std::vector<std::uint32_t>* targets = TargetEngines(request);
+  const std::uint64_t seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
+  return (*targets)[Fnv1aU64(seq) % targets->size()];
 }
 
 JsonValue ShardRouter::RejectReply(const JsonValue& request) const {
@@ -337,9 +344,6 @@ JsonValue ShardRouter::RejectReply(const JsonValue& request) const {
                              "migrate requires a numeric \"job\"")
                 : ErrorReply("failed_precondition",
                              "migration requires at least two clusters");
-  } else if (request.GetString("cmd") == "cancel") {
-    reply = ErrorReply("not_found", "no such job: " +
-                                        std::to_string(request.Find("job")->AsInt()));
   } else if (cluster != nullptr) {
     reply = ErrorReply("invalid_argument",
                        "no such cluster: " + DescribeTarget(*cluster));
@@ -407,12 +411,16 @@ void ShardRouter::StartMigration(
     sink->OnReply(a, b, std::move(reply));
   };
 
-  const std::int64_t global = request.Find("job")->AsInt();  // RouteEngine-checked
-  if (global < 0) {  // names no job; the id must not alias one
-    return fail(
-        ErrorReply("not_found", "no such job: " + std::to_string(global)));
+  // A federation with one training cluster has nowhere to move a job to.
+  if (std::count_if(clusters_.begin(), clusters_.end(),
+                    [](const ClusterSpec& c) {
+                      return c.kind == ClusterKind::kTraining;
+                    }) < 2) {
+    return fail(ErrorReply("failed_precondition",
+                           "migration requires at least two training clusters"));
   }
-  const std::uint32_t source_engine = ShardOfJob(global);
+  const std::int64_t job = *request.GetInt("job");  // RouteEngine-checked
+  const std::uint32_t source_engine = JobIdSpace::Owner(job, shards_.size());
   const std::uint32_t source_cluster = ClusterOfEngine(source_engine);
 
   const JsonValue* to = request.Find("to");
@@ -433,17 +441,6 @@ void ShardRouter::StartMigration(
             clusters_[static_cast<std::size_t>(dest)].name +
             "\" is not a training cluster"));
   }
-  if (clusters_[source_cluster].kind != ClusterKind::kTraining) {
-    return fail(ErrorReply("failed_precondition",
-                           "job " + std::to_string(global) +
-                               " is not on a training cluster"));
-  }
-  if (static_cast<std::uint32_t>(dest) == source_cluster) {
-    return fail(ErrorReply(
-        "failed_precondition",
-        "job " + std::to_string(global) + " is already on cluster \"" +
-            clusters_[source_cluster].name + "\""));
-  }
 
   const std::shared_ptr<const StateSnapshot> snap =
       shard(static_cast<int>(source_engine))->snapshot();
@@ -454,16 +451,26 @@ void ShardRouter::StartMigration(
   // RCU read: the record can be stale, but the cancel below is the
   // authoritative gate — a job that finished in between fails there and the
   // engine error is forwarded verbatim.
-  const JobRecord* record = snap->FindJob(ToLocal(global));
+  const JobRecord* record = snap->FindJob(job);
   if (record == nullptr) {
-    return fail(
-        ErrorReply("not_found", "no such job: " + std::to_string(global)));
+    return fail(NoSuchJob(job));
+  }
+  if (clusters_[source_cluster].kind != ClusterKind::kTraining) {
+    return fail(ErrorReply("failed_precondition",
+                           "job " + std::to_string(job) +
+                               " is not on a training cluster"));
+  }
+  if (static_cast<std::uint32_t>(dest) == source_cluster) {
+    return fail(ErrorReply(
+        "failed_precondition",
+        "job " + std::to_string(job) + " is already on cluster \"" +
+            clusters_[source_cluster].name + "\""));
   }
   if (record->state == JobState::kFinished ||
       record->state == JobState::kCancelled) {
     return fail(ErrorReply(
         "failed_precondition",
-        "job " + std::to_string(global) + " is already " +
+        "job " + std::to_string(job) + " is already " +
             kJobStateNames[static_cast<std::size_t>(record->state)]));
   }
 
@@ -472,7 +479,7 @@ void ShardRouter::StartMigration(
   // The destination engine comes from a dedicated hash, never the submit
   // counter: migrations must not shift how later keyless submits route (the
   // counter is snapshotted and replay-compared).
-  const std::string route_key = "migrate:" + std::to_string(global);
+  const std::string route_key = "migrate:" + std::to_string(job);
   const std::vector<std::uint32_t>& dests =
       cluster_engines_[static_cast<std::size_t>(dest)];
   const std::uint32_t dest_engine =
@@ -500,53 +507,25 @@ void ShardRouter::StartMigration(
 
   JsonValue cancel = JsonValue::MakeObject();
   cancel.Set("cmd", JsonValue::MakeString("cancel"));
-  cancel.Set("job",
-             JsonValue::MakeNumber(static_cast<double>(ToLocal(global))));
+  cancel.Set("job", JsonValue::MakeNumber(static_cast<double>(job)));
   const JsonValue* at = request.Find("at");
   if (at != nullptr && at->is_number()) {
     cancel.Set("at", *at);
   }
 
   auto chain = std::make_shared<MigrationSink>(
-      this, std::move(request), std::move(sink), a, b, global, source_engine,
-      dest_engine, static_cast<std::uint32_t>(dest), source_cluster,
-      std::move(submit), cost);
+      this, std::move(request), std::move(sink), a, b, job, dest_engine,
+      static_cast<std::uint32_t>(dest), source_cluster, std::move(submit),
+      cost);
   shard(static_cast<int>(source_engine))
       ->ExecuteAsync(std::move(cancel), std::move(chain), 0, 0,
                      SchedulerService::CmdClass::kEngine);
 }
 
-void ShardRouter::RewriteReplyJob(std::uint32_t shard, JsonValue& reply) const {
-  if (shard_count() == 1) {
-    return;
-  }
-  const JsonValue* job = reply.Find("job");
-  if (job != nullptr && job->is_number()) {
-    reply.Replace("job", JsonValue::MakeNumber(static_cast<double>(
-                             ToGlobal(job->AsInt(), shard))));
-  }
-  // A not_found from cancel/query_job names the shard-local id; clients only
-  // ever saw the global one.
-  if (!reply.GetBool("ok", false) && reply.GetString("code") == "not_found") {
-    static constexpr char kPrefix[] = "no such job: ";
-    const std::string message = reply.GetString("error");
-    if (message.rfind(kPrefix, 0) == 0) {
-      char* end = nullptr;
-      const long long local =
-          std::strtoll(message.c_str() + sizeof(kPrefix) - 1, &end, 10);
-      if (end != nullptr && *end == '\0') {
-        reply.Replace("error",
-                      JsonValue::MakeString(
-                          kPrefix + std::to_string(ToGlobal(local, shard))));
-      }
-    }
-  }
-}
-
 JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
                                    const std::string& snapshot_path,
                                    std::uint64_t snapshot_submit_seq,
-                                   std::vector<JsonValue>& replies) const {
+                                   const std::vector<JsonValue>& replies) const {
   // Any failed shard fails the whole command; the merged reply is that
   // shard's error annotated with its index. Shards that did apply keep the
   // command in their logs (per-shard replay-exactness is untouched); the
@@ -556,9 +535,7 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
       JsonValue failed = replies[k];
       failed.Set("shard", JsonValue::MakeNumber(static_cast<double>(k)));
       if (cmd == TelemetryCmd::kSnapshot && !snapshot_path.empty()) {
-        for (std::size_t p = 0; p < replies.size(); ++p) {
-          std::remove(PartPath(snapshot_path, static_cast<int>(p)).c_str());
-        }
+        RemoveParts(snapshot_path);
       }
       EchoSeq(request, failed);
       return failed;
@@ -566,75 +543,30 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
   }
 
   JsonValue merged = OkReply();
-  switch (cmd) {
-    case TelemetryCmd::kAdvance: {
-      double time = 0.0, virtual_time = 0.0;
-      for (const JsonValue& reply : replies) {
-        time = std::max(time, reply.GetDouble("time", 0.0));
-        virtual_time = std::max(virtual_time, reply.GetDouble("virtual_time", 0.0));
+  for (const BarrierMerge& merge : kBarrierMerges) {
+    for (const FieldRule& rule : merge.rules) {
+      if (merge.cmd == cmd && rule.field != nullptr) {
+        FoldField(rule, replies, merged);
       }
-      merged.Set("time", JsonValue::MakeNumber(time));
-      merged.Set("virtual_time", JsonValue::MakeNumber(virtual_time));
-      break;
     }
-    case TelemetryCmd::kDrain: {
-      double time = 0.0, jobs = 0.0, terminal = 0.0;
-      for (const JsonValue& reply : replies) {
-        time = std::max(time, reply.GetDouble("time", 0.0));
-        jobs += reply.GetDouble("jobs", 0.0);
-        terminal += reply.GetDouble("terminal", 0.0);
-      }
-      merged.Set("time", JsonValue::MakeNumber(time));
-      merged.Set("jobs", JsonValue::MakeNumber(jobs));
-      merged.Set("terminal", JsonValue::MakeNumber(terminal));
-      break;
+  }
+  if (cmd == TelemetryCmd::kSnapshot) {
+    // The container step, the one barrier that is more than a fold. Runs on
+    // the last engine thread to finish its part — snapshot writes are
+    // engine-thread file I/O anyway.
+    const Status saved = SaveContainer(snapshot_path, snapshot_submit_seq);
+    if (!saved.ok()) {
+      JsonValue failed = StatusReply(saved);
+      EchoSeq(request, failed);
+      return failed;
     }
-    case TelemetryCmd::kShutdown:
-      merged.Set("stopping", JsonValue::MakeBool(true));
-      break;
-    case TelemetryCmd::kSnapshot: {
-      // Gather the per-engine LYRASNAP part files into the container, then
-      // drop the parts. Runs on the last engine thread to finish its part —
-      // snapshot writes are engine-thread file I/O anyway.
-      std::vector<std::string> images;
-      double time = 0.0, commands = 0.0;
-      Status saved = Status::Ok();
-      for (std::size_t k = 0; k < replies.size(); ++k) {
-        StatusOr<std::string> image =
-            ReadFile(PartPath(snapshot_path, static_cast<int>(k)));
-        if (!image.ok()) {
-          saved = image.status();
-          break;
-        }
-        images.push_back(std::move(image).value());
-        time = std::max(time, replies[k].GetDouble("time", 0.0));
-        commands += replies[k].GetDouble("commands", 0.0);
-      }
-      if (saved.ok()) {
-        saved = SaveContainer(snapshot_path, snapshot_submit_seq,
-                              std::move(images));
-      }
-      for (std::size_t k = 0; k < replies.size(); ++k) {
-        std::remove(PartPath(snapshot_path, static_cast<int>(k)).c_str());
-      }
-      if (!saved.ok()) {
-        JsonValue failed = StatusReply(saved);
-        EchoSeq(request, failed);
-        return failed;
-      }
-      merged.Set("path", JsonValue::MakeString(snapshot_path));
-      merged.Set("commands", JsonValue::MakeNumber(commands));
-      merged.Set("time", JsonValue::MakeNumber(time));
-      merged.Set("shards",
-                 JsonValue::MakeNumber(static_cast<double>(replies.size())));
-      if (federated()) {
-        merged.Set("clusters",
-                   JsonValue::MakeNumber(static_cast<double>(cluster_count())));
-      }
-      break;
+    merged.Replace("path", JsonValue::MakeString(snapshot_path));
+    merged.Set("shards",
+               JsonValue::MakeNumber(static_cast<double>(replies.size())));
+    if (federated()) {
+      merged.Set("clusters",
+                 JsonValue::MakeNumber(static_cast<double>(cluster_count())));
     }
-    default:
-      break;
   }
   EchoSeq(request, merged);
   if (federated() &&
@@ -653,9 +585,24 @@ JsonValue ShardRouter::MergeFanout(TelemetryCmd cmd, const JsonValue& request,
   return merged;
 }
 
+void ShardRouter::RemoveParts(const std::string& path) const {
+  for (int k = 0; k < shard_count(); ++k) {
+    std::remove(PartPath(path, k).c_str());
+  }
+}
+
 Status ShardRouter::SaveContainer(const std::string& path,
-                                  std::uint64_t submit_seq,
-                                  std::vector<std::string> images) const {
+                                  std::uint64_t submit_seq) const {
+  std::vector<std::string> images;
+  for (int k = 0; k < shard_count(); ++k) {
+    StatusOr<std::string> image = ReadFile(PartPath(path, k));
+    if (!image.ok()) {
+      RemoveParts(path);
+      return image.status();
+    }
+    images.push_back(std::move(image).value());
+  }
+  RemoveParts(path);
   if (!federated()) {
     MultiSnapshot multi;
     multi.submit_seq = submit_seq;
@@ -865,15 +812,9 @@ JsonValue ShardRouter::Execute(const JsonValue& request) {
   // Synchronous callers take the authoritative per-shard rejection rather
   // than the advisory shed (there is no canned-reply fast path to protect).
   plan.shed = false;
-  JsonValue mutable_request = request;
-  const std::uint32_t shard = BeginEngine(tcmd, mutable_request, plan);
   auto waiter = std::make_shared<SchedulerService::WaitSink>();
-  DispatchEngine(plan, shard, std::move(mutable_request), waiter, 0, 0);
-  JsonValue reply = waiter->Wait();
-  if (plan.rewrite_job) {
-    RewriteReplyJob(shard, reply);
-  }
-  return reply;
+  DispatchEngine(plan, BeginEngine(tcmd, request, plan), request, waiter, 0, 0);
+  return waiter->Wait();
 }
 
 bool ShardRouter::AnySaturated() const {
@@ -922,6 +863,11 @@ ServiceOptions EngineOptions(const ServiceOptions& base, int engine) {
   return options;
 }
 
+// Flat engine k of `engines` numbers its jobs k, k + engines, ...
+JobIdSpace EngineIds(std::size_t engines, int engine) {
+  return {static_cast<std::int64_t>(engines), engine};
+}
+
 }  // namespace
 
 StatusOr<ShardSet> BuildShardSet(
@@ -941,8 +887,9 @@ StatusOr<ShardSet> BuildShardSet(
     // Independent deterministic streams per shard; shard 0 keeps the base
     // seed so a one-shard fleet is the unsharded service exactly.
     options.engine.seed = base.engine.seed + static_cast<std::uint64_t>(k);
-    auto service = std::make_unique<SchedulerService>(std::move(options),
-                                                      make_driver(k));
+    auto service = std::make_unique<SchedulerService>(
+        std::move(options), make_driver(k),
+        EngineIds(static_cast<std::size_t>(engines), k));
     const Status started = service->Start();
     if (!started.ok()) {
       return started;  // ~ShardSet stops the shards already started
@@ -1021,7 +968,8 @@ StatusOr<ShardSet> RestoreShardSet(
   for (std::size_t k = 0; k < images.size(); ++k) {
     const int engine = static_cast<int>(k);
     auto service = std::make_unique<SchedulerService>(
-        EngineOptions(base, engine), make_driver(engine));
+        EngineOptions(base, engine), make_driver(engine),
+        EngineIds(images.size(), engine));
     const std::string origin =
         images.size() == 1
             ? snapshot_path

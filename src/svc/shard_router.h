@@ -22,15 +22,17 @@
 // Routing and ids are the same in both:
 //
 //   - submit / cancel / query_job go straight from the decoded frame to the
-//     owning engine's ExecuteAsync (no hop thread, no extra queue). Within
-//     the target engine set, ownership is an FNV-1a hash: of the client's
-//     "key" string when present (stable client affinity), of the router's
-//     monotone submit counter otherwise — targets[h % size], which over a
-//     one-cluster fleet is plain h % N. Cancel and query_job hash nothing:
-//     the engine is encoded in the job id.
-//   - Job ids returned to clients are global: G = local * E + engine, so
-//     engine = G mod E and the id carries its own route. At E == 1 global
-//     and local coincide.
+//     owning engine's ExecuteAsync (no hop thread, no extra queue), request
+//     and reply untouched. Within the target engine set, ownership is an
+//     FNV-1a hash: of the client's "key" string when present (stable client
+//     affinity), of the router's monotone submit counter otherwise —
+//     targets[h % size], which over a one-cluster fleet is plain h % N.
+//     Cancel and query_job hash nothing: the engine is encoded in the job
+//     id.
+//   - Each engine owns its job ids (JobIdSpace, state_snapshot.h): engine
+//     k of E numbers its jobs G = local * E + k and converts them itself,
+//     so G mod E is the id's route and the router only reads it. At E == 1
+//     the ids are the simulator's own.
 //   - Every read goes through ReadFleet (reads.h) over the engine list, the
 //     plain service's one path, with this router as the federation layer
 //     when there are two or more clusters.
@@ -100,31 +102,14 @@ class ShardRouter {
   }
   int FindCluster(const std::string& name) const;  // -1 when unknown
 
-  // --- Job-id arithmetic -----------------------------------------------
-
-  // Global ids interleave the shard index in the low bits: G = L * N + s.
-  // N == 1 is the identity, so single-shard deployments keep the engine's
-  // raw sequential ids on the wire.
-  std::int64_t ToGlobal(std::int64_t local, std::uint32_t shard) const {
-    return local * shard_count() + static_cast<std::int64_t>(shard);
-  }
-  std::int64_t ToLocal(std::int64_t global) const {
-    return global / shard_count();
-  }
-  std::uint32_t ShardOfJob(std::int64_t global) const {
-    const std::int64_t n = shard_count();
-    return static_cast<std::uint32_t>(((global % n) + n) % n);
-  }
-
   // --- Engine-command dispatch (two-phase) ------------------------------
 
   struct Plan {
-    bool shed = false;         // target saturated: answer canned, enqueue nothing
-    bool fanout = false;       // barrier command (advance/drain/snapshot/shutdown)
-    bool rewrite_job = false;  // reply "job" needs the local->global rewrite
-    bool reject = false;       // invalid target or negative job id: answered inline
-    bool migrate = false;      // federation migrate: cancel/resubmit chain
-    std::uint32_t shard = 0;   // advisory target (authoritative after Begin)
+    bool shed = false;        // target saturated: answer canned, enqueue nothing
+    bool fanout = false;      // barrier command (advance/drain/snapshot/shutdown)
+    bool reject = false;      // invalid target: answered inline
+    bool migrate = false;     // federation migrate: cancel/resubmit chain
+    std::uint32_t shard = 0;  // advisory target (authoritative after Begin)
   };
 
   // Phase 1: pure routing decision, no side effects. For keyless submits the
@@ -133,10 +118,9 @@ class ShardRouter {
   // uninterrupted run. At one engine this is the saturation check alone.
   Plan RouteEngine(TelemetryCmd cmd, const JsonValue& request) const;
 
-  // Phase 2: consumes the submit counter where routing is counter-based and
-  // rewrites the request's "job" from global to local in place (cancel).
+  // Phase 2: consumes the submit counter where routing is counter-based.
   // Returns the authoritative shard (0 for fanout commands).
-  std::uint32_t BeginEngine(TelemetryCmd cmd, JsonValue& request,
+  std::uint32_t BeginEngine(TelemetryCmd cmd, const JsonValue& request,
                             const Plan& plan);
 
   // Phase 3: enqueue. Single-shard commands go to shard `shard`'s
@@ -147,10 +131,6 @@ class ShardRouter {
   void DispatchEngine(const Plan& plan, std::uint32_t shard, JsonValue request,
                       std::shared_ptr<SchedulerService::CompletionSink> sink,
                       std::uint64_t a, std::uint64_t b);
-
-  // Reply-side id rewrite (local -> global) for replies from `shard`.
-  // No-op when the reply has no numeric "job" (error replies) or N == 1.
-  void RewriteReplyJob(std::uint32_t shard, JsonValue& reply) const;
 
   // --- Reads ------------------------------------------------------------
 
@@ -173,7 +153,7 @@ class ShardRouter {
   JsonValue FederationStats(const Snapshots& snaps) const;
 
   // Synchronous convenience for tools and tests (mirrors
-  // SchedulerService::Execute, including reply-id rewrites and barriers).
+  // SchedulerService::Execute, including barriers).
   JsonValue Execute(const JsonValue& request);
 
   // --- Front-end hints and aggregates -----------------------------------
@@ -237,10 +217,11 @@ class ShardRouter {
   JsonValue MergeFanout(TelemetryCmd cmd, const JsonValue& request,
                         const std::string& snapshot_path,
                         std::uint64_t snapshot_submit_seq,
-                        std::vector<JsonValue>& replies) const;
-  // Writes the gathered per-engine images as this topology's container.
-  Status SaveContainer(const std::string& path, std::uint64_t submit_seq,
-                       std::vector<std::string> images) const;
+                        const std::vector<JsonValue>& replies) const;
+  // Gathers the engines' part files into this topology's container at
+  // `path`; the parts are removed either way.
+  Status SaveContainer(const std::string& path, std::uint64_t submit_seq) const;
+  void RemoveParts(const std::string& path) const;
 
   // Candidate engines for a submit: the one cluster's range, or in a
   // federation the explicit cluster's range or every engine of the
@@ -282,11 +263,12 @@ struct ShardSet {
 };
 
 // Builds and Start()s one engine per (cluster, shard) after
-// ValidateClusters. Flat engine k gets seed base.engine.seed + k
-// (independent fault/workload streams; engine 0 keeps the base seed, so a
-// one-engine fleet is the unsharded service exactly), trace_path
-// EnginePath(base.trace_path, k), and its own driver from make_driver(k). A
-// federation also gets base.loan_predictor.
+// ValidateClusters. Flat engine k of N gets job-id space {N, k}, seed
+// base.engine.seed + k (independent fault/workload streams; engine 0 keeps
+// the base seed and a one-engine fleet the identity id space, so it is the
+// unsharded service exactly), trace_path EnginePath(base.trace_path, k),
+// and its own driver from make_driver(k). A federation also gets
+// base.loan_predictor.
 StatusOr<ShardSet> BuildShardSet(
     const ServiceOptions& base, const std::vector<ClusterSpec>& clusters,
     const std::function<std::unique_ptr<TimeDriver>(int)>& make_driver);
@@ -294,7 +276,8 @@ StatusOr<ShardSet> BuildShardSet(
 // Restores a fleet from a snapshot file; the envelope magic picks the
 // layout. LYRASNAP (one engine) and LYRASHRD (one cluster of N engines)
 // restore a shard fleet; LYRAFED restores the federation's cluster layout
-// and broker ledger too, reconciling loans after the restore. Runtime knobs
+// and broker ledger too, reconciling loans after the restore. Job-id
+// spaces come from the engine count, as in BuildShardSet; runtime knobs
 // come from `base`; each engine's EngineConfig comes from its persisted
 // image. NotFound for a missing file, InvalidArgument for an unknown magic.
 StatusOr<ShardSet> RestoreShardSet(

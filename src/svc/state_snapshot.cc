@@ -107,6 +107,7 @@ std::shared_ptr<const StateSnapshot> SnapshotBuilder::Publish(
   snapshot->chunks = chunks_;
   snapshot->engine_metrics = engine_metrics_;
   snapshot->metrics_time = metrics_time_;
+  snapshot->ids = ids_;
   return snapshot;
 }
 
@@ -139,11 +140,10 @@ StateSnapshot SumSnapshots(
   return sum;
 }
 
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t local,
-                           std::int64_t id) {
-  const JobRecord* job = snap.FindJob(local);
+JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id) {
+  const JobRecord* job = snap.FindJob(id);
   if (job == nullptr) {
-    return ErrorReply("not_found", "no such job: " + std::to_string(id));
+    return NoSuchJob(id);
   }
   JsonValue reply = OkReply();
   reply.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));

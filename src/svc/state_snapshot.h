@@ -39,6 +39,31 @@ namespace lyra::svc {
 // snapshot is ~4k shared_ptrs.
 inline constexpr std::size_t kSnapshotChunkSize = 256;
 
+// An engine's job ids (DESIGN.md §10). Engine k of a fleet of N numbers the
+// job its simulator calls L as G = L * N + k, so G mod N names the owning
+// engine, and a lone engine (N = 1, k = 0) keeps the simulator's ids. The
+// engine converts at its own boundary (submit and cancel replies, errors,
+// the snapshot lookup); its command log stays in simulator ids.
+struct JobIdSpace {
+  std::int64_t stride = 1;  // N
+  std::int64_t offset = 0;  // k
+
+  std::int64_t Global(std::int64_t local) const {
+    return local * stride + offset;
+  }
+  // The simulator id `global` names here; -1, which names no job, for a
+  // negative id or another engine's.
+  std::int64_t Local(std::int64_t global) const {
+    return global >= 0 && global % stride == offset ? global / stride : -1;
+  }
+  // Which of `engines` owns `global`; engine 0 answers for a negative id.
+  static std::uint32_t Owner(std::int64_t global, std::size_t engines) {
+    return global < 0 ? 0
+                      : static_cast<std::uint32_t>(
+                            static_cast<std::uint64_t>(global) % engines);
+  }
+};
+
 // One job's observable state, flattened out of the live Job object.
 struct JobRecord {
   JobSpec spec;
@@ -91,13 +116,15 @@ struct StateSnapshot {
   // refresh (Start/Restore force one).
   std::shared_ptr<const JsonValue> engine_metrics;
   TimeSec metrics_time = 0.0;
+  JobIdSpace ids;  // the publishing engine's
 
-  // Record for `id`, or nullptr when out of range.
+  // Record for the client's job id `id`, or nullptr when it names none here.
   const JobRecord* FindJob(std::int64_t id) const {
-    if (id < 0 || static_cast<std::size_t>(id) >= job_count) {
+    const std::int64_t local = ids.Local(id);
+    if (local < 0 || static_cast<std::size_t>(local) >= job_count) {
       return nullptr;
     }
-    const auto index = static_cast<std::size_t>(id);
+    const auto index = static_cast<std::size_t>(local);
     return &chunks[index / kSnapshotChunkSize]
                 ->records[index % kSnapshotChunkSize];
   }
@@ -107,6 +134,8 @@ struct StateSnapshot {
 // returned snapshots are immutable and safe to hand to any thread.
 class SnapshotBuilder {
  public:
+  explicit SnapshotBuilder(JobIdSpace ids = {}) : ids_(ids) {}
+
   // The sink to arm on the simulator (Simulator::set_job_dirty_sink).
   Job::DirtySink* sink() { return &sink_; }
 
@@ -119,6 +148,7 @@ class SnapshotBuilder {
                                                bool refresh_metrics);
 
  private:
+  JobIdSpace ids_;
   Job::DirtySink sink_;
   std::vector<std::shared_ptr<const JobChunk>> chunks_;
   std::array<std::uint64_t, 4> state_counts_{};
@@ -139,10 +169,8 @@ StateSnapshot SumSnapshots(std::span<const std::shared_ptr<const StateSnapshot>>
 
 // Read-only reply builders: pure functions of the snapshot, callable from any
 // thread. Field names and order match the historical engine-side handlers
-// byte-for-byte. SnapshotJobReply looks up `local` and names the job `id`,
-// the id the client sent (they differ on a multi-engine fleet).
-JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t local,
-                           std::int64_t id);
+// byte-for-byte. SnapshotJobReply answers for the client's job id `id`.
+JsonValue SnapshotJobReply(const StateSnapshot& snap, std::int64_t id);
 JsonValue SnapshotClusterStatsReply(const StateSnapshot& snap);
 
 }  // namespace lyra::svc

@@ -204,13 +204,16 @@ TEST(Federation, GlobalIdRoundTripAcrossFederationTimesShards) {
                 static_cast<std::uint32_t>(expected_cluster))
           << spec << " engine " << e;
     }
-    for (std::int64_t local = 0; local < 50; ++local) {
-      for (int e = 0; e < engines; ++e) {
-        const std::int64_t global =
-            router.ToGlobal(local, static_cast<std::uint32_t>(e));
-        EXPECT_EQ(router.ShardOfJob(global), static_cast<std::uint32_t>(e))
+    for (int e = 0; e < engines; ++e) {
+      const JobIdSpace ids = fed.services[e]->snapshot()->ids;
+      EXPECT_EQ(ids.stride, engines) << spec;
+      EXPECT_EQ(ids.offset, e) << spec;
+      for (std::int64_t local = 0; local < 50; ++local) {
+        const std::int64_t global = ids.Global(local);
+        EXPECT_EQ(JobIdSpace::Owner(global, engines),
+                  static_cast<std::uint32_t>(e))
             << spec;
-        EXPECT_EQ(router.ToLocal(global), local) << spec;
+        EXPECT_EQ(ids.Local(global), local) << spec;
       }
     }
     StopFed(fed);
@@ -569,7 +572,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
       static_cast<std::int64_t>(moved.GetDouble("job", -1.0));
   ASSERT_GE(new_job, 0);
   EXPECT_NE(new_job, job);
-  EXPECT_EQ(router.ClusterOfEngine(router.ShardOfJob(new_job)), 2u)
+  EXPECT_EQ(router.ClusterOfEngine(JobIdSpace::Owner(new_job, 3)), 2u)
       << "migrated job must live on train1's engine";
 
   // Source side: the original job ended cancelled.
@@ -602,7 +605,7 @@ TEST(Federation, MigrationChargesCheckpointCostAndMovesTheJob) {
   EXPECT_NE(bad.GetString("error").find("not a training cluster"),
             std::string::npos)
       << bad.Dump();
-  bad = router.Execute(Migrate(router.ToGlobal(9999, 1), "train1"));
+  bad = router.Execute(Migrate(9999 * 3 + 1, "train1"));  // train0's engine
   EXPECT_FALSE(bad.GetBool("ok"));
   EXPECT_EQ(bad.GetString("code"), "not_found");
   bad = router.Execute(Migrate(new_job, "train1"));

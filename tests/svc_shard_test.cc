@@ -1,6 +1,6 @@
 // Engine-sharding tests (DESIGN.md §10): deterministic routing (same key /
-// same job id always lands on the same shard, global↔local id arithmetic
-// round-trips), merged reads (cluster_stats across shards equals the sum of
+// same job id always lands on the same shard, every id an engine hands out
+// names that engine, hostile ids answer before any cast), merged reads (cluster_stats across shards equals the sum of
 // the per-shard snapshots), the LYRASHRD multi-snapshot container (round
 // trip, one-shard degradation to plain LYRASNAP, corruption defenses), a
 // randomized kill-and-warm-restart at --shards=4 that must reproduce every
@@ -8,6 +8,7 @@
 // sharded event loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -265,14 +267,35 @@ FleetOutcome ResumeFleetScript(const FleetScript& script, int cut,
   return CollectOutcome(fleet);
 }
 
+// Each engine owns its job ids: every id engine k of N hands out satisfies
+// id mod N == k, and query_job and cancel through the router on that id
+// reach that very job (told apart by its submit time).
 TEST(Shard, JobIdArithmeticRoundTripsAndEncodesTheShard) {
   ShardSet fleet = BuildFleet(kShards);
-  const ShardRouter& router = *fleet.router;
-  for (std::int64_t local = 0; local < 100; ++local) {
-    for (std::uint32_t shard = 0; shard < kShards; ++shard) {
-      const std::int64_t global = router.ToGlobal(local, shard);
-      EXPECT_EQ(router.ShardOfJob(global), shard);
-      EXPECT_EQ(router.ToLocal(global), local);
+  ShardRouter& router = *fleet.router;
+  for (int k = 0; k < kShards; ++k) {
+    for (int i = 0; i < 5; ++i) {
+      const double at = 100.0 * k + i;
+      const JsonValue submitted = fleet.services[k]->Execute(Submit(at, 90000.0));
+      ASSERT_TRUE(submitted.GetBool("ok")) << submitted.Dump();
+      const std::int64_t id =
+          static_cast<std::int64_t>(submitted.GetDouble("job", -1.0));
+      EXPECT_EQ(id % kShards, k) << "engine " << k << " handed out " << id;
+      EXPECT_EQ(id / kShards, i) << "engine " << k << " handed out " << id;
+      JsonValue query = Cmd("query_job");
+      query.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
+      JsonValue queried = router.Execute(query);
+      ASSERT_TRUE(queried.GetBool("ok")) << queried.Dump();
+      EXPECT_EQ(queried.GetDouble("job", -1.0), static_cast<double>(id));
+      EXPECT_EQ(queried.GetDouble("submit_time", -1.0), at) << queried.Dump();
+      if (i % 2 == 1) {
+        const JsonValue cancelled = router.Execute(Cancel(at, id));
+        ASSERT_TRUE(cancelled.GetBool("ok")) << cancelled.Dump();
+        EXPECT_EQ(cancelled.GetDouble("job", -1.0), static_cast<double>(id));
+        queried = router.Execute(query);
+        EXPECT_EQ(queried.GetString("state"), "cancelled") << queried.Dump();
+        EXPECT_EQ(queried.GetDouble("submit_time", -1.0), at) << queried.Dump();
+      }
     }
   }
   // The hash is a pure function: the same bytes always route the same way.
@@ -300,9 +323,9 @@ TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ASSERT_GE(ids[i], 0);
     // Same key -> same shard: every global id carries the same residue.
-    EXPECT_EQ(router.ShardOfJob(ids[i]), expected) << "id " << ids[i];
+    EXPECT_EQ(JobIdSpace::Owner(ids[i], kShards), expected) << "id " << ids[i];
     // And on that shard, local ids are the engine's plain sequence.
-    EXPECT_EQ(router.ToLocal(ids[i]), static_cast<std::int64_t>(i));
+    EXPECT_EQ(ids[i] / kShards, static_cast<std::int64_t>(i));
   }
   // A query or cancel for any of those ids routes by the id alone and finds
   // the job — the id is the route.
@@ -316,7 +339,7 @@ TEST(Shard, SameKeyAlwaysLandsOnTheSameShard) {
   const JsonValue cancelled = router.Execute(Cancel(10.0, ids[2]));
   EXPECT_TRUE(cancelled.GetBool("ok")) << cancelled.Dump();
   // A job that was never issued reports its *global* id in the error.
-  const std::int64_t missing = router.ToGlobal(9999, expected);
+  const std::int64_t missing = 9999 * kShards + expected;
   const JsonValue not_found = router.Execute(Cancel(10.0, missing));
   EXPECT_FALSE(not_found.GetBool("ok"));
   const std::string message = not_found.GetString("error");
@@ -1540,14 +1563,41 @@ TEST(Shard, PromLintFlagsMisplacedSamples) {
             "family a appears twice\n");
 }
 
-// A negative job id names no job. At one engine the engine says so; on a
-// fleet the id must not alias a real job through the id arithmetic
-// (-1 / 3 == 0, -1 mod 3 == 2): cancel and query_job answer not_found
-// naming the id the client sent, and no job changes state.
+// Each topology the id tables below run on: one engine, a 3-engine fleet,
+// and a 2x2 federation (inf0, inf1, train0, train1).
+ShardSet BuildTopology(const std::string& spec) {
+  StatusOr<ShardSet> built = BuildShardSet(
+      FleetOptions(), ParseFederationSpec(spec).value(), MakeVirtualDriver);
+  EXPECT_TRUE(built.ok()) << built.status().message();
+  return std::move(built.value());
+}
+
+// An id field no job can be named by, or a negative one that names none:
+// cancel, query_job and (in a federation) migrate and a submit's "cluster"
+// answer without a cast of the raw double, no job changes state, and a
+// negative integer's not_found names the id the client sent. A fraction
+// must not reach job 1 through a truncating cast, nor 1e300 anything
+// through an out-of-range one.
 TEST(Shard, NegativeJobIdsAreNotFoundOnFleets) {
-  for (const int shards : {1, 3}) {
-    ShardSet fleet = BuildFleet(shards);
+  struct HostileId {
+    const char* name;
+    std::optional<JsonValue> value;  // nullopt: the field is missing
+    const char* code;                // of cancel, query_job and migrate
+  };
+  const std::vector<HostileId> table = {
+      {"-7", JsonValue::MakeNumber(-7), "not_found"},
+      {"-1", JsonValue::MakeNumber(-1), "not_found"},
+      {"1.5", JsonValue::MakeNumber(1.5), "invalid_argument"},
+      {"1e300", JsonValue::MakeNumber(1e300), "invalid_argument"},
+      {"-1e300", JsonValue::MakeNumber(-1e300), "invalid_argument"},
+      {"2^53+1", JsonValue::MakeNumber(9007199254740993.0), "invalid_argument"},
+      {"string", JsonValue::MakeString("1"), "invalid_argument"},
+      {"missing", std::nullopt, "invalid_argument"},
+  };
+  for (const std::string spec : {"0x1@1", "0x1@3", "2x2"}) {
+    ShardSet fleet = BuildTopology(spec);
     ShardRouter& router = *fleet.router;
+    const bool federation = spec == "2x2";
     for (int i = 0; i < 6; ++i) {
       ASSERT_TRUE(router.Execute(Submit(0.0, 90000.0)).GetBool("ok"));
     }
@@ -1556,21 +1606,90 @@ TEST(Shard, NegativeJobIdsAreNotFoundOnFleets) {
       return router.Execute(Cmd("cluster_stats")).Find("jobs")->Dump();
     };
     const std::string before = jobs();
-    for (const std::int64_t id : {-1, -2, -3, -4, -7}) {
-      const std::string expected = "no such job: " + std::to_string(id);
-      const JsonValue cancelled = router.Execute(Cancel(700.0, id));
-      EXPECT_EQ(cancelled.GetString("code"), "not_found")
-          << shards << " engines: " << cancelled.Dump();
-      EXPECT_EQ(cancelled.GetString("error"), expected) << cancelled.Dump();
+    for (const HostileId& id : table) {
+      const auto with = [&id](JsonValue request, const char* field) {
+        if (id.value) {
+          request.Set(field, *id.value);
+        }
+        return request;
+      };
+      JsonValue cancel = Cmd("cancel");
+      cancel.Set("at", JsonValue::MakeNumber(700.0));
+      JsonValue migrate = with(Cmd("migrate"), "job");
+      migrate.Set("to", JsonValue::MakeString("train1"));
+      std::vector<JsonValue> requests = {with(cancel, "job"),
+                                         with(Cmd("query_job"), "job")};
+      if (federation) {
+        requests.push_back(migrate);
+      }
+      for (const JsonValue& request : requests) {
+        const JsonValue reply = router.Execute(request);
+        EXPECT_EQ(reply.GetString("code"), id.code)
+            << spec << " " << id.name << ": " << reply.Dump();
+        if (std::string(id.code) == "not_found") {
+          EXPECT_EQ(reply.GetString("error"),
+                    std::string("no such job: ") + id.name)
+              << reply.Dump();
+        }
+      }
+      if (federation && id.value) {
+        // The "cluster" index reads through the same checked reader.
+        const JsonValue reply = router.Execute(with(Submit(700.0, 60.0), "cluster"));
+        EXPECT_EQ(reply.GetString("code"), "invalid_argument")
+            << spec << " cluster " << id.name << ": " << reply.Dump();
+      }
+    }
+    EXPECT_EQ(jobs(), before) << spec << ": a hostile id changed a job";
+    StopFleet(fleet);
+  }
+}
+
+// Every error about a job names the id the client sent: cancelling a
+// finished job, or a job twice, answers "job <id> already terminated" with
+// the fleet's id, never the simulator's own (global job 4 is job 1 of
+// engine 1 on three engines).
+TEST(Shard, CancelErrorsNameTheClientsJobId) {
+  for (const std::string spec : {"0x1@3", "2x2"}) {
+    ShardSet fleet = BuildTopology(spec);
+    ShardRouter& router = *fleet.router;
+    const int engines = router.shard_count();
+    std::vector<std::int64_t> done;
+    std::vector<std::int64_t> live;
+    for (int i = 0; i < 8; ++i) {
+      const JsonValue short_job = router.Execute(Submit(0.0, 60.0));
+      const JsonValue long_job = router.Execute(Submit(0.0, 9.0e6));
+      ASSERT_TRUE(short_job.GetBool("ok")) << short_job.Dump();
+      ASSERT_TRUE(long_job.GetBool("ok")) << long_job.Dump();
+      done.push_back(static_cast<std::int64_t>(short_job.GetDouble("job")));
+      live.push_back(static_cast<std::int64_t>(long_job.GetDouble("job")));
+    }
+    // Some ids must differ from their engine's own, or the test shows
+    // nothing.
+    ASSERT_GE(*std::max_element(done.begin(), done.end()), engines) << spec;
+    ASSERT_GE(*std::max_element(live.begin(), live.end()), engines) << spec;
+    ASSERT_TRUE(router.Execute(Advance(36000.0)).GetBool("ok"));
+
+    const auto expect_terminated = [&spec](const JsonValue& reply,
+                                           std::int64_t id) {
+      EXPECT_EQ(reply.GetString("code"), "failed_precondition")
+          << spec << ": " << reply.Dump();
+      EXPECT_EQ(reply.GetString("error"),
+                "job " + std::to_string(id) + " already terminated")
+          << spec << ": " << reply.Dump();
+    };
+    for (const std::int64_t id : done) {
       JsonValue query = Cmd("query_job");
       query.Set("job", JsonValue::MakeNumber(static_cast<double>(id)));
-      const JsonValue queried = router.Execute(query);
-      EXPECT_EQ(queried.GetString("code"), "not_found")
-          << shards << " engines: " << queried.Dump();
-      EXPECT_EQ(queried.GetString("error"), expected) << queried.Dump();
+      ASSERT_EQ(router.Execute(query).GetString("state"), "finished")
+          << spec << " job " << id;
+      expect_terminated(router.Execute(Cancel(36000.0, id)), id);
     }
-    EXPECT_EQ(jobs(), before)
-        << shards << " engines: a negative id changed a job";
+    for (const std::int64_t id : live) {
+      const JsonValue first = router.Execute(Cancel(36000.0, id));
+      ASSERT_TRUE(first.GetBool("ok")) << spec << ": " << first.Dump();
+      EXPECT_EQ(first.GetDouble("job", -1.0), static_cast<double>(id));
+      expect_terminated(router.Execute(Cancel(36000.0, id)), id);
+    }
     StopFleet(fleet);
   }
 }
