@@ -8,23 +8,17 @@
 // charging sender stalls back to the server) — plus the per-connection
 // in-flight high-watermark (backlog_max). Counts `overloaded` backpressure
 // rejections separately from errors, and can merge the summary into the
-// repo's BENCH_perf.json under a "lyra_loadgen" key.
-//
-// --sweep runs a saturation sweep across a list of offered rates and records
-// the full offered-load vs accepted-throughput + latency curve under
-// "sweep" in the report section; the section's top-level numbers are the
-// point with the highest accepted throughput.
+// repo's BENCH_perf.json under a "lyra_loadgen" key. It offers one rate
+// against a running daemon; the offered-load curve comes from
+// bench_svc_saturation --rates, which starts a fresh daemon per point.
 //
 //   lyra_loadgen --socket=/tmp/lyra.sock --rate=20000 --duration=5
 //       --connections=4 --report=BENCH_perf.json
-//   lyra_loadgen --socket=/tmp/lyra.sock --duration=2
-//       --sweep=10000,20000,50000,100000,200000,400000 --report=BENCH_perf.json
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/json.h"
@@ -91,7 +85,6 @@ int main(int argc, char** argv) {
   std::string socket_path = "/tmp/lyra_schedd.sock";
   std::string tcp;
   std::string report_path;
-  std::string sweep;
   double rate = 20000.0;
   double duration = 5.0;
   int connections = 4;
@@ -106,9 +99,6 @@ int main(int argc, char** argv) {
   flags.AddDouble("duration", &duration, "send window in wall seconds");
   flags.AddInt("connections", &connections, "parallel connections");
   flags.AddInt("gpus-per-worker", &gpus_per_worker, "GPUs per submitted worker");
-  flags.AddString("sweep", &sweep,
-                  "comma-separated offered rates for a saturation sweep "
-                  "(overrides --rate)");
   flags.AddString("report", &report_path,
                   "merge a lyra_loadgen section into this BENCH_perf.json");
   flags.AddBool("server-stats", &server_stats,
@@ -123,21 +113,6 @@ int main(int argc, char** argv) {
   if (flags.help_requested()) {
     std::fputs(flags.Usage().c_str(), stdout);
     return 0;
-  }
-
-  std::vector<double> rates;
-  if (!sweep.empty()) {
-    std::stringstream parts(sweep);
-    std::string part;
-    while (std::getline(parts, part, ',')) {
-      const double value = std::atof(part.c_str());
-      if (value > 0.0) {
-        rates.push_back(value);
-      }
-    }
-  }
-  if (rates.empty()) {
-    rates.push_back(rate);
   }
 
   lyra::JsonValue request = lyra::JsonValue::MakeObject();
@@ -165,68 +140,20 @@ int main(int argc, char** argv) {
   options.duration_s = duration;
   options.payload = request.Dump();
   options.scrape_server = server_stats;
+  options.rate = rate;
 
-  std::vector<lyra::svc::LoadPoint> points;
-  for (const double offered : rates) {
-    options.rate = offered;
-    lyra::StatusOr<lyra::svc::LoadPoint> run = lyra::svc::RunOpenLoop(options);
-    if (!run.ok()) {
-      // A daemon shedding hard past saturation can slam connections shut
-      // mid-point (ECONNRESET / EPIPE / short read). Aborting there would
-      // throw away the sweep's earlier points, so record the point as failed
-      // and keep walking the rate ladder; the exit status still reports it.
-      const std::string& why = run.status().message();
-      const bool transient = why.find("Connection reset") != std::string::npos ||
-                             why.find("Broken pipe") != std::string::npos ||
-                             why.find("closed") != std::string::npos ||
-                             why.find("short read") != std::string::npos;
-      if (transient && rates.size() > 1) {
-        std::fprintf(stderr,
-                     "lyra_loadgen: rate %.0f/s failed (%s); continuing sweep\n",
-                     offered, why.c_str());
-        lyra::svc::LoadPoint failed;
-        failed.offered_rate = offered;
-        failed.connections = connections;
-        failed.errors = 1;
-        PrintPoint(failed);
-        points.push_back(failed);
-        continue;
-      }
-      std::fprintf(stderr, "lyra_loadgen: %s\n", why.c_str());
-      return 1;
-    }
-    PrintPoint(run.value());
-    points.push_back(run.value());
+  const lyra::StatusOr<lyra::svc::LoadPoint> run = lyra::svc::RunOpenLoop(options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "lyra_loadgen: %s\n", run.status().message().c_str());
+    return 1;
   }
-
-  // Best point = highest accepted throughput; the single-rate case is its
-  // own best point, so the report shape is identical either way.
-  std::size_t best = 0;
-  std::uint64_t errors = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    errors += points[i].errors;
-    if (points[i].accepted_per_s > points[best].accepted_per_s) {
-      best = i;
-    }
-  }
-  if (points.size() > 1) {
-    std::printf("peak: %.0f submits/s accepted at offered %.0f/s\n",
-                points[best].accepted_per_s, points[best].offered_rate);
-  }
-
+  const lyra::svc::LoadPoint& point = run.value();
+  PrintPoint(point);
   if (!report_path.empty()) {
-    lyra::JsonValue section = lyra::svc::LoadPointJson(points[best]);
-    if (points.size() > 1) {
-      lyra::JsonValue curve = lyra::JsonValue::MakeArray();
-      for (const lyra::svc::LoadPoint& point : points) {
-        curve.Append(lyra::svc::LoadPointJson(point));
-      }
-      section.Set("sweep", std::move(curve));
-    }
-    MergeReport(report_path, section);
+    MergeReport(report_path, lyra::svc::LoadPointJson(point));
     std::printf("  merged lyra_loadgen section into %s\n", report_path.c_str());
   }
 
   // Errors are failures; overloaded replies are the backpressure working.
-  return errors == 0 ? 0 : 2;
+  return point.errors == 0 ? 0 : 2;
 }
