@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/lyra/mckp.h"
+#include "src/obs/obs.h"
 #include "src/sched/elastic_util.h"
 
 namespace lyra {
@@ -133,12 +134,14 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     return decision;
   }
 
-  std::vector<MckpGroup> groups;
-  groups.reserve(elastic.size());
-  for (Job* job : elastic) {
+  // Per-thread scratch: each group keeps its item storage across ticks.
+  thread_local std::vector<MckpGroup> groups;
+  groups.resize(elastic.size());
+  for (std::size_t g = 0; g < elastic.size(); ++g) {
+    const Job* job = elastic[g];
     const JobSpec& spec = job->spec();
-    MckpGroup group;
-    group.items.reserve(static_cast<std::size_t>(spec.max_workers - spec.min_workers));
+    MckpGroup& group = groups[g];
+    group.items.clear();
     const TimeSec base_time = job->EstimatedRemainingTime(spec.min_workers);
     for (int k = 1; k <= spec.max_workers - spec.min_workers; ++k) {
       MckpItem item;
@@ -152,7 +155,6 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
       }
       group.items.push_back(item);
     }
-    groups.push_back(std::move(group));
   }
 
   const int capacity = static_cast<int>(ledger.total());
@@ -194,7 +196,11 @@ AllocationDecision TwoPhaseAllocate(const SchedulerContext& ctx,
     return decision;
   }
 
-  const MckpSolution solution = SolveMckp(groups, capacity);
+  MckpSolution solution;
+  {
+    obs::PhaseSpan mckp_span(obs::Phase::kMckp);
+    solution = SolveMckp(groups, capacity);
+  }
   for (std::size_t g = 0; g < elastic.size(); ++g) {
     const int chosen = solution.chosen[g];
     decision.flexible_targets.emplace_back(elastic[g], chosen < 0 ? 0 : chosen + 1);

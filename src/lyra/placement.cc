@@ -91,12 +91,19 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
                                const PlacementOptions& options) {
   PlacementStats stats;
 
-  // Scale-ins first so launches and scale-outs see the freed capacity.
-  for (const auto& [job, target_flex] : decision.flexible_targets) {
-    const int current = PlacedFlexibleWorkers(cluster, *job);
-    if (current > target_flex) {
+  // Scale-ins first so launches and scale-outs see the freed capacity. Each
+  // target's flexible workers are counted once here and kept for the
+  // scale-out pass; only a job this pass shrank is counted again. Launches
+  // place base workers only, so a job launched this tick reads 0 before and
+  // after PlaceBase.
+  std::vector<int> current(decision.flexible_targets.size());
+  for (std::size_t t = 0; t < current.size(); ++t) {
+    const auto& [job, target_flex] = decision.flexible_targets[t];
+    current[t] = PlacedFlexibleWorkers(cluster, *job);
+    if (current[t] > target_flex) {
       ShrinkFlexibleTo(cluster, *job, target_flex);
-      stats.scale_ins += current - target_flex;
+      stats.scale_ins += current[t] - target_flex;
+      current[t] = PlacedFlexibleWorkers(cluster, *job);
     }
   }
 
@@ -114,13 +121,13 @@ PlacementStats ApplyAllocation(ClusterState& cluster, const AllocationDecision& 
   }
 
   // Flexible scale-outs to the knapsack targets.
-  for (const auto& [job, target_flex] : decision.flexible_targets) {
+  for (std::size_t t = 0; t < current.size(); ++t) {
+    const auto& [job, target_flex] = decision.flexible_targets[t];
     if (cluster.FindPlacement(job->id()) == nullptr) {
       continue;  // launch failed; no flexible workers for this job
     }
-    const int current = PlacedFlexibleWorkers(cluster, *job);
-    if (current < target_flex) {
-      stats.scale_outs += PlaceFlexible(cluster, *job, target_flex - current, options);
+    if (current[t] < target_flex) {
+      stats.scale_outs += PlaceFlexible(cluster, *job, target_flex - current[t], options);
     }
   }
   return stats;

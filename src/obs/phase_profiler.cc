@@ -20,6 +20,8 @@ const char* PhaseName(Phase phase) {
       return "rm_reconcile";
     case Phase::kFinalize:
       return "finalize";
+    case Phase::kMckp:
+      return "mckp";
     case Phase::kCount:
       break;
   }

@@ -2,10 +2,10 @@
 //
 // Spans are opened/closed by the RAII obs::PhaseSpan (see obs.h) around each
 // hot region — event-queue drain, scheduler tick, placement, orchestrator
-// tick, reclaim policy, final-metrics fold. Spans nest: a phase's *self* time
-// excludes enclosed child spans, so summing self_sec over all phases
-// approximates the covered wall-clock without double counting —
-// exactly the number the ROADMAP's event-queue-batching item needs.
+// tick, reclaim policy, final-metrics fold, Lyra's knapsack solve. Spans
+// nest: a phase's *self* time excludes enclosed child spans, so summing
+// self_sec over all phases approximates the covered wall-clock without double
+// counting — exactly the number the ROADMAP's event-queue-batching item needs.
 #ifndef SRC_OBS_PHASE_PROFILER_H_
 #define SRC_OBS_PHASE_PROFILER_H_
 
@@ -24,6 +24,7 @@ enum class Phase {
   kReclaimPolicy,       // ReclaimPolicy::Reclaim inside an orchestrator tick
   kRmReconcile,         // unused; kept so phase tables keep their rows
   kFinalize,            // end-of-run metric folding
+  kMckp,                // Lyra's phase-2 knapsack solve inside a scheduler tick
   kCount,
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -523,21 +524,30 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
     seen |= 1u << bit;
     return true;
   };
-  const auto num = [](const JsonValue& v, double fb) {
-    return v.is_number() ? v.AsDouble() : fb;
+  // A worker field that is a number must be an int; a non-number keeps the
+  // default. Returns whether `out` was set; a bad number names its field.
+  const char* bad_field = nullptr;
+  const auto read_int = [&bad_field](const JsonValue& v, const char* field, int* out) {
+    if (!v.is_number()) {
+      return false;
+    }
+    const std::optional<std::int64_t> n = v.AsInt();
+    if (!n || *n < std::numeric_limits<int>::min() || *n > std::numeric_limits<int>::max()) {
+      if (bad_field == nullptr) bad_field = field;
+      return false;
+    }
+    *out = static_cast<int>(*n);
+    return true;
   };
   for (const auto& [key, value] : request.AsObject()) {
     if (key == "gpus_per_worker") {
-      if (first(0)) spec.gpus_per_worker = static_cast<int>(num(value, 1));
+      if (first(0)) read_int(value, "gpus_per_worker", &spec.gpus_per_worker);
     } else if (key == "min_workers") {
-      if (first(1)) spec.min_workers = static_cast<int>(num(value, 1));
+      if (first(1)) read_int(value, "min_workers", &spec.min_workers);
     } else if (key == "max_workers") {
-      if (first(2) && value.is_number()) {
-        spec.max_workers = static_cast<int>(value.AsDouble());
-        have_max_workers = true;
-      }
+      if (first(2)) have_max_workers = read_int(value, "max_workers", &spec.max_workers);
     } else if (key == "requested_workers") {
-      if (first(3)) spec.requested_workers = static_cast<int>(num(value, 0));
+      if (first(3)) read_int(value, "requested_workers", &spec.requested_workers);
     } else if (key == "fungible") {
       if (first(4)) spec.fungible = value.is_bool() && value.AsBool();
     } else if (key == "heterogeneous") {
@@ -545,10 +555,15 @@ JsonValue SchedulerService::ApplySubmit(const JsonValue& request) {
     } else if (key == "checkpointing") {
       if (first(6)) spec.checkpointing = value.is_bool() && value.AsBool();
     } else if (key == "total_work") {
-      if (first(7)) spec.total_work = num(value, 0.0);
+      if (first(7)) spec.total_work = value.is_number() ? value.AsDouble() : 0.0;
     } else if (key == "model") {
       if (first(8)) model_field = &value;
     }
+  }
+  if (bad_field != nullptr) {
+    command_errors_.fetch_add(1, std::memory_order_relaxed);
+    return ErrorReply("invalid_argument",
+                      std::string("submit \"") + bad_field + "\" must be an integer in int range");
   }
   if (!have_max_workers) {
     spec.max_workers = spec.min_workers;

@@ -1,11 +1,13 @@
 // Unit + property tests for the multiple-choice knapsack solver (§5.2).
-// The differential tests also run per-target under ASan+UBSan (see
-// tests/CMakeLists.txt).
+// The differential and property tests run SolveMckp and each kernel width
+// the CPU can run (2 lanes always, 4 lanes with AVX2); they also run
+// per-target under ASan+UBSan (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,10 @@ namespace lyra {
 namespace {
 
 MckpGroup Group(std::vector<MckpItem> items) { return MckpGroup{std::move(items)}; }
+
+// The kernel vector widths SolveMckp can run; a width this CPU lacks is
+// skipped by SolveMckpAtWidth returning nullopt.
+constexpr int kKernelLanes[] = {2, 4};
 
 TEST(Mckp, EmptyProblem) {
   const MckpSolution s = SolveMckp({}, 10);
@@ -127,11 +133,19 @@ TEST_P(MckpRandomProperty, MatchesBruteForceOnRandomInstances) {
       groups.push_back(std::move(group));
     }
     const int capacity = static_cast<int>(rng.UniformInt(0, 12));
-    const MckpSolution dp = SolveMckp(groups, capacity);
     const double reference = BruteForce(groups, capacity);
-    EXPECT_NEAR(dp.total_value, reference, 1e-9)
-        << "instance " << instance << " capacity " << capacity;
-    EXPECT_LE(dp.total_weight, capacity);
+    std::vector<MckpSolution> solutions = {SolveMckp(groups, capacity)};
+    for (int lanes : kKernelLanes) {
+      std::optional<MckpSolution> s = mckp_internal::SolveMckpAtWidth(lanes, groups, capacity);
+      if (s) {
+        solutions.push_back(std::move(*s));
+      }
+    }
+    for (const MckpSolution& dp : solutions) {
+      EXPECT_NEAR(dp.total_value, reference, 1e-9)
+          << "instance " << instance << " capacity " << capacity;
+      EXPECT_LE(dp.total_weight, capacity);
+    }
   }
 }
 
@@ -286,13 +300,26 @@ Instance PaperShapedInstance(Rng& rng) {
   return instance;
 }
 
-void ExpectSameAsReference(const Instance& instance, const std::string& label) {
-  const MckpSolution want = ReferenceSolveMckp(instance.groups, instance.capacity);
-  const MckpSolution got = SolveMckp(instance.groups, instance.capacity);
+void ExpectSame(const MckpSolution& got, const MckpSolution& want, const std::string& label) {
   ASSERT_EQ(got.chosen, want.chosen) << label;
   ASSERT_EQ(got.total_weight, want.total_weight) << label;
   ASSERT_EQ(std::memcmp(&got.total_value, &want.total_value, sizeof(double)), 0)
       << label << ": " << got.total_value << " vs " << want.total_value;
+}
+
+// SolveMckp and every kernel width the CPU can run return the reference's
+// exact answer.
+void ExpectSameAsReference(const Instance& instance, const std::string& label) {
+  const MckpSolution want = ReferenceSolveMckp(instance.groups, instance.capacity);
+  ASSERT_NO_FATAL_FAILURE(ExpectSame(SolveMckp(instance.groups, instance.capacity), want, label));
+  for (int lanes : kKernelLanes) {
+    const std::optional<MckpSolution> got =
+        mckp_internal::SolveMckpAtWidth(lanes, instance.groups, instance.capacity);
+    if (got) {
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSame(*got, want, label + " at " + std::to_string(lanes) + " lanes"));
+    }
+  }
 }
 
 TEST(MckpDifferential, EdgeCaseInstancesMatchReference) {
@@ -310,6 +337,53 @@ TEST(MckpDifferential, PaperShapedInstancesMatchReference) {
                                                   "paper instance " + std::to_string(n)));
   }
 }
+
+// The kernel's boundaries: every capacity 1-17 (so every width % 8 of the
+// last, partial block), items exactly as heavy as the capacity (the widest
+// guard), groups whose items are all skipped (too heavy or worth <= 0) and
+// single-group instances.
+std::vector<Instance> BlockTailAndGuardTable() {
+  std::vector<Instance> table;
+  for (int cap = 1; cap <= 17; ++cap) {
+    table.push_back({{Group({{cap, 5.0}})}, cap});
+    table.push_back({{Group({{1, 1.0}, {cap, 5.0}, {cap, 5.0}})}, cap});
+    table.push_back({{Group({{cap + 1, 9.0}, {1, 0.0}, {2, -1.0}})}, cap});
+    table.push_back({{Group({{cap, 5.0}, {1, 1.0}}), Group({{cap + 1, 9.0}, {1, 0.0}, {2, -1.0}}),
+                      Group({{1, 2.0}, {cap, 3.0}})},
+                     cap});
+    // Values equal to weights: every load ties across many item sets.
+    MckpGroup linear;
+    for (int w = 1; w <= cap; ++w) {
+      linear.items.push_back({w, static_cast<double>(w)});
+    }
+    table.push_back({{linear, Group({{cap + 2, 1.0}}), linear, Group({{0, 1.0}, {cap, 0.5}})},
+                     cap});
+  }
+  return table;
+}
+
+class MckpKernelWidth : public ::testing::TestWithParam<int> {};
+
+TEST_P(MckpKernelWidth, BlockTailAndGuardTableMatchesReference) {
+  const int lanes = GetParam();
+  if (!mckp_internal::SolveMckpAtWidth(lanes, {}, 0)) {
+    GTEST_SKIP() << "this CPU cannot run the " << lanes << "-lane kernel";
+  }
+  const std::vector<Instance> table = BlockTailAndGuardTable();
+  for (std::size_t n = 0; n < table.size(); ++n) {
+    const Instance& instance = table[n];
+    const std::string label = "table row " + std::to_string(n) + " capacity " +
+                              std::to_string(instance.capacity);
+    const MckpSolution want = ReferenceSolveMckp(instance.groups, instance.capacity);
+    ASSERT_NO_FATAL_FAILURE(ExpectSame(
+        *mckp_internal::SolveMckpAtWidth(lanes, instance.groups, instance.capacity), want,
+        label));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSame(SolveMckp(instance.groups, instance.capacity), want, label));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, MckpKernelWidth, ::testing::ValuesIn(kKernelLanes));
 
 }  // namespace
 }  // namespace lyra

@@ -1644,6 +1644,59 @@ TEST(Shard, NegativeJobIdsAreNotFoundOnFleets) {
   }
 }
 
+// The worker fields of a submit are ints: a fraction, a value past int
+// range or 1e300 is invalid_argument naming the field, never a truncating
+// or out-of-range cast, and no job is created; a non-number keeps the
+// field's default.
+TEST(Shard, SubmitWorkerFieldsMustBeInts) {
+  struct HostileSubmit {
+    const char* frame;
+    const char* field;  // the field the error must name
+  };
+  const std::vector<HostileSubmit> table = {
+      {R"({"cmd":"submit","total_work":60,"max_workers":4294967297})", "max_workers"},
+      {R"({"cmd":"submit","total_work":60,"gpus_per_worker":1.9})", "gpus_per_worker"},
+      {R"({"cmd":"submit","total_work":60,"min_workers":1e300})", "min_workers"},
+      {R"({"cmd":"submit","total_work":60,"min_workers":-1e300})", "min_workers"},
+      {R"({"cmd":"submit","total_work":60,"requested_workers":2147483648})",
+       "requested_workers"},
+      {R"({"cmd":"submit","total_work":60,"max_workers":-2147483649})", "max_workers"},
+      {R"({"cmd":"submit","total_work":60,"gpus_per_worker":2,"max_workers":0.5})",
+       "max_workers"},
+  };
+  for (const std::string spec : {"0x1@1", "0x1@3"}) {
+    ShardSet fleet = BuildTopology(spec);
+    ShardRouter& router = *fleet.router;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(router.Execute(Submit(0.0, 90000.0)).GetBool("ok"));
+    }
+    ASSERT_TRUE(router.Execute(Advance(600.0)).GetBool("ok"));
+    const auto jobs = [&router] {
+      return router.Execute(Cmd("cluster_stats")).Find("jobs")->Dump();
+    };
+    const std::string before = jobs();
+    for (const HostileSubmit& submit : table) {
+      const JsonValue reply = router.Execute(JsonValue::Parse(submit.frame).value());
+      EXPECT_EQ(reply.GetString("code"), "invalid_argument")
+          << spec << " " << submit.frame << ": " << reply.Dump();
+      EXPECT_NE(reply.GetString("error").find(std::string("\"") + submit.field + "\""),
+                std::string::npos)
+          << spec << " " << submit.frame << ": " << reply.Dump();
+    }
+    EXPECT_EQ(jobs(), before) << spec << ": a rejected submit created a job";
+
+    const JsonValue accepted = router.Execute(JsonValue::Parse(
+        R"({"cmd":"submit","total_work":60,"gpus_per_worker":"8","min_workers":null})")
+                                                  .value());
+    ASSERT_TRUE(accepted.GetBool("ok")) << spec << ": " << accepted.Dump();
+    JsonValue query = Cmd("query_job");
+    query.Set("job", *accepted.Find("job"));
+    const JsonValue job = router.Execute(query);
+    EXPECT_EQ(job.GetDouble("gpus_per_worker"), 1.0) << spec << ": " << job.Dump();
+    StopFleet(fleet);
+  }
+}
+
 // Every error about a job names the id the client sent: cancelling a
 // finished job, or a job twice, answers "job <id> already terminated" with
 // the fleet's id, never the simulator's own (global job 4 is job 1 of
